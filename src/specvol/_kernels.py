@@ -1,108 +1,87 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The block-coefficient transform: one exact sum on a common integer grid.
 
-The single dominant cost of the Monte Carlo harness is turning an increment
-vector of length n into the J x K array of block coefficients; everything
-here serves that product.  Backend selection: the environment variable
-SPECVOL_BACKEND may be "numba", "numpy" or "auto" (default).  "auto" uses
-numba when it imports, numpy otherwise.
-
-Geometry convention: observations live on cells [(i-1)/n, i/n]; block k
-covers [k/K, (k+1)/K].  Each block is cut into "pieces" by the cell edges.
-For a piece with normalized endpoints u_lo < u_hi inside block k, the
+Observations live on cells [(i-1)/n, i/n]; block k covers [k/K, (k+1)/K].
+Each block is cut into pieces by the cell edges.  With bw = n / gcd(n, K),
+every piece edge inside a block is an integer m on the grid u = m / bw,
+0 <= m <= bw.  For a piece [m_lo, m_hi] of block k cut from cell i, the
 frequency-j coefficient picks up
 
-    scale_j * (cos(j*pi*u_hi) - cos(j*pi*u_lo)) * dY[cell]
+    scale_j * (cos(j*pi*m_hi/bw) - cos(j*pi*m_lo/bw)) * dY[i]
 
-with scale_j = n * sqrt(2h) * h / (pi^2 j^2), which is the exact integral of
-the sine antiderivative over the piece times n, applied to the increment.
+with scale_j = n * sqrt(2h) * h / (pi^2 j^2): the exact integral of the sine
+antiderivative over the piece, times n, applied to the increment.  Summation
+by parts turns the block sum into one cosine sum on the grid,
+
+    y[j,k] = scale_j * sum_{m=0..bw} cos(j*pi*m/bw) * g[k,m],
+
+where g[k] holds +dY[i] at each piece's upper edge and -dY[i] at its lower
+edge.  The piece table of an (n, K) layout is built once by integer
+arithmetic and cached.  Two strategies evaluate the sum:
+
+- dense: a DCT-I over rows of g, which yields every frequency j <= bw at
+  once, sum = (X_j + g[k,0] + (-1)^j g[k,bw]) / 2.  g is built a chunk of
+  blocks at a time, so memory stays flat however large L = K * bw is;
+- pass: one sweep over the pieces per frequency with a cosine table of only
+  bw + 1 values.
+
+`use_dct` picks one from (n, K, J) alone, so the result does not depend on
+anything but the layout.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
+from scipy import fft
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-_requested = os.environ.get("SPECVOL_BACKEND", "auto").strip().lower()
-if _requested not in {"auto", "numba", "numpy"}:
-    warnings.warn(f"SPECVOL_BACKEND={_requested!r} not recognized, using 'auto'")
-    _requested = "auto"
-if _requested == "numba" and not HAVE_NUMBA:
-    warnings.warn("SPECVOL_BACKEND=numba requested but numba is unavailable; using numpy")
-USE_NUMBA = HAVE_NUMBA if _requested == "auto" else (_requested == "numba" and HAVE_NUMBA)
+# A dense grid entry (zero-fill, scatter, DCT butterfly, read-out) costs about
+# as much as two piece terms of the per-frequency pass.
+_DENSE_COST = 2.0
+# Dense grid entries per DCT call: bounds the transient memory of one call.
+_DENSE_CHUNK = 1 << 17
 
 
 def active_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    # The benchmark records this string with every run.
+    return "numpy"
 
 
 @dataclass(frozen=True)
-class BlockGeometry:
-    """Static piece decomposition of one (n, K) observation/block layout."""
+class PieceTable:
+    """Pieces of one (n, K) layout, in block order, cells ascending per block."""
 
-    n: int
     K: int
-    bounds_u: np.ndarray   # (B,) normalized piece boundaries, blockwise 0..1
-    piece_lo: np.ndarray   # (P,) index of each piece's lower boundary in bounds_u
-    piece_cell: np.ndarray  # (P,) 0-based cell index into the increment vector
-    bptr: np.ndarray       # (K+1,) boundary offsets per block
-    pptr: np.ndarray       # (K+1,) piece offsets per block
+    bw: int               # block width in grid units: edges are m = 0..bw
+    cell: np.ndarray      # (P,) 0-based cell index into the increment vector
+    block: np.ndarray     # (P,) block index
+    m_lo: np.ndarray      # (P,) lower edge on the block's grid
+    m_hi: np.ndarray      # (P,) upper edge on the block's grid
+    starts: np.ndarray    # (K+1,) piece offsets per block
 
 
-@lru_cache(maxsize=8)
-def block_geometry(n: int, K: int) -> BlockGeometry:
-    """Exact piece decomposition; boundary classification in integer arithmetic."""
+@lru_cache(maxsize=16)
+def piece_table(n: int, K: int) -> PieceTable:
+    """Exact piece decomposition in integer arithmetic, without a Python loop."""
     if K < 1 or n < 1:
         raise ValueError("n and K must be positive")
-    L = n // gcd(n, K) * K          # lcm
-    cw = L // n                     # cell width in 1/L units
-    bw = L // K                     # block width in 1/L units
-    bounds = []
-    piece_lo = []
-    piece_cell = []
-    bptr = [0]
-    pptr = [0]
-    for k in range(K):
-        lo_int = k * bw
-        hi_int = (k + 1) * bw
-        i_first = lo_int // cw + 1                  # 1-based cell containing (lo, lo+)
-        i_last = (hi_int + cw - 1) // cw            # 1-based cell containing (hi-, hi)
-        base = len(bounds)
-        bounds.append(0.0)
-        for i in range(i_first, i_last + 1):
-            right = min(i * cw, hi_int)
-            bounds.append((right - lo_int) / bw)
-            piece_lo.append(base + (i - i_first))
-            piece_cell.append(i - 1)
-        bptr.append(len(bounds))
-        pptr.append(len(piece_cell))
-    return BlockGeometry(
-        n=n,
-        K=K,
-        bounds_u=np.asarray(bounds, dtype=np.float64),
-        piece_lo=np.asarray(piece_lo, dtype=np.int64),
-        piece_cell=np.asarray(piece_cell, dtype=np.int64),
-        bptr=np.asarray(bptr, dtype=np.int64),
-        pptr=np.asarray(pptr, dtype=np.int64),
-    )
+    g = gcd(n, K)
+    cw, bw = K // g, n // g          # cell and block widths in units of 1/lcm(n, K)
+    lo = np.arange(K, dtype=np.int64) * bw
+    first = lo // cw                 # first cell meeting (lo, lo + bw)
+    count = (lo + bw - 1) // cw - first + 1
+    starts = np.concatenate([[0], np.cumsum(count)])
+    block = np.repeat(np.arange(K, dtype=np.int64), count)
+    cell = np.arange(starts[-1], dtype=np.int64) - starts[block] + first[block]
+    base = lo[block]
+    m_lo = np.maximum(cell * cw, base) - base
+    m_hi = np.minimum((cell + 1) * cw, base + bw) - base
+    arrays = [a.astype(np.int32) for a in (cell, block, m_lo, m_hi, starts)]
+    for a in arrays:
+        a.setflags(write=False)
+    return PieceTable(K, bw, *arrays)
 
 
 def coefficient_scales(n: int, K: int, J: int) -> np.ndarray:
@@ -111,56 +90,59 @@ def coefficient_scales(n: int, K: int, J: int) -> np.ndarray:
     return n * np.sqrt(2.0 * h) * h / (np.pi ** 2 * j ** 2)
 
 
-def block_sums_numpy(geom: BlockGeometry, dY: np.ndarray, J: int, scale: np.ndarray) -> np.ndarray:
-    out = np.empty((J, geom.K), dtype=np.float64)
-    d = dY[geom.piece_cell]
-    starts = geom.pptr[:-1]
+def use_dct(n: int, K: int, J: int) -> bool:
+    """True when the dense DCT is cheaper than J passes over the pieces.
+
+    A pass touches about n + K pieces and a cosine table of bw + 1 values;
+    the dense grid has K * (bw + 1) entries.  The DCT returns frequencies up
+    to bw only, so larger J takes the pass.
+    """
+    bw = n // gcd(n, K)
+    return J <= bw and J * (n + K + bw + 1) > _DENSE_COST * K * (bw + 1)
+
+
+def _cosines(table: PieceTable, j: int) -> np.ndarray:
+    return np.cos((j * np.pi) * (np.arange(table.bw + 1) / table.bw))
+
+
+def _pass_sums(table: PieceTable, dY: np.ndarray, J: int, scale: np.ndarray) -> np.ndarray:
+    out = np.empty((J, table.K), dtype=np.float64)
+    d = dY[table.cell]
     for j in range(1, J + 1):
-        c = np.cos((j * np.pi) * geom.bounds_u)
-        g = (c[geom.piece_lo + 1] - c[geom.piece_lo]) * d
-        out[j - 1] = scale[j - 1] * np.add.reduceat(g, starts)
+        c = _cosines(table, j)
+        out[j - 1] = scale[j - 1] * np.add.reduceat((c[table.m_hi] - c[table.m_lo]) * d, table.starts[:-1])
     return out
 
 
-@njit(cache=True)
-def _block_sums_numba_impl(bounds_u, piece_lo, piece_cell, bptr, pptr, dY, J, scale):  # pragma: no cover
-    K = bptr.size - 1
+def _dct_sums(table: PieceTable, dY: np.ndarray, J: int, scale: np.ndarray) -> np.ndarray:
+    K, bw = table.K, table.bw
     out = np.empty((J, K), dtype=np.float64)
-    for k in range(K):
-        b0, b1 = bptr[k], bptr[k + 1]
-        nb = b1 - b0
-        p0, p1 = pptr[k], pptr[k + 1]
-        c1 = np.cos(np.pi * bounds_u[b0:b1])
-        cjm = np.ones(nb)
-        cj = c1.copy()
-        for j in range(1, J + 1):
-            acc = 0.0
-            for p in range(p0, p1):
-                lo = piece_lo[p] - b0
-                acc += (cj[lo + 1] - cj[lo]) * dY[piece_cell[p]]
-            out[j - 1, k] = scale[j - 1] * acc
-            if j < J:
-                for b in range(nb):
-                    nxt = 2.0 * c1[b] * cj[b] - cjm[b]
-                    cjm[b] = cj[b]
-                    cj[b] = nxt
+    half_scale = 0.5 * scale[:, None]
+    sign = np.where(np.arange(1, J + 1) % 2 == 0, 1.0, -1.0)[:, None]
+    rows = max(1, _DENSE_CHUNK // (bw + 1))
+    for k0 in range(0, K, rows):
+        k1 = min(K, k0 + rows)
+        p = slice(table.starts[k0], table.starts[k1])
+        blk = table.block[p] - k0
+        d = dY[table.cell[p]]
+        g = np.zeros((k1 - k0, bw + 1))
+        g[blk, table.m_hi[p]] = d      # edges are distinct within a block,
+        g[blk, table.m_lo[p]] -= d     # so neither scatter collides
+        edges = g[:, 0] + sign * g[:, bw]
+        X = fft.dct(g, type=1, axis=1, overwrite_x=True)[:, 1:J + 1].T
+        out[:, k0:k1] = half_scale * (X + edges)
     return out
 
 
-def block_sums_numba(geom: BlockGeometry, dY: np.ndarray, J: int, scale: np.ndarray) -> np.ndarray:
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    return _block_sums_numba_impl(
-        geom.bounds_u, geom.piece_lo, geom.piece_cell, geom.bptr, geom.pptr,
-        np.ascontiguousarray(dY, dtype=np.float64), J, scale,
-    )
-
-
-def block_sums(geom: BlockGeometry, dY: np.ndarray, J: int, scale: np.ndarray) -> np.ndarray:
-    """Coefficients y[j,k] = scale_j * sum over block pieces of cos-diff * dY."""
-    if USE_NUMBA:
-        return block_sums_numba(geom, dY, J, scale)
-    return block_sums_numpy(geom, dY, J, scale)
+def block_sums(dY: np.ndarray, K: int, J: int) -> np.ndarray:
+    """Coefficients y[j-1,k] of the increments dY on K blocks, frequencies 1..J."""
+    dY = np.asarray(dY, dtype=np.float64)
+    n = dY.size
+    table = piece_table(n, K)
+    scale = coefficient_scales(n, K, J)
+    if use_dct(n, K, J):
+        return _dct_sums(table, dY, J, scale)
+    return _pass_sums(table, dY, J, scale)
 
 
 @lru_cache(maxsize=16)
@@ -174,22 +156,20 @@ def block_normalizers(n: int, K: int, delta: float, j: int = 1):
     coefficients.  These converge to (h^2/(pi^2 j^2), delta^2/n) as the cell
     count per block grows.
     """
-    geom = block_geometry(n, K)
-    scale = coefficient_scales(n, K, j)[j - 1]
-    c = np.cos((j * np.pi) * geom.bounds_u)
-    w_all = scale * (c[geom.piece_lo + 1] - c[geom.piece_lo])
-    s = np.empty(K)
-    nu = np.empty(K)
-    for k in range(K):
-        w = w_all[geom.pptr[k]:geom.pptr[k + 1]]
-        s[k] = np.sum(w * w) / n
-        A = np.empty(w.size + 1)
-        A[0] = -w[0]
-        A[1:-1] = w[:-1] - w[1:]
-        A[-1] = w[-1]
-        if geom.piece_cell[geom.pptr[k]] == 0:
-            A[0] = 0.0  # first cell's increment is Y_1 itself: no epsilon_0 term
-        nu[k] = delta ** 2 * np.sum(A * A)
+    table = piece_table(n, K)
+    c = _cosines(table, j)
+    w = coefficient_scales(n, K, j)[j - 1] * (c[table.m_hi] - c[table.m_lo])
+    s = np.add.reduceat(w * w, table.starts[:-1]) / n
+    # Noise weights: block k has one more edge than pieces, so piece p's
+    # edges sit at p + k and p + k + 1.  eps_i enters with the weight of its
+    # cell minus that of the next cell; eps_0 = 0 drops the lower edge of
+    # cell 0 in every block that it starts.
+    lower = np.arange(w.size) + table.block
+    A = np.zeros(w.size + K)
+    A[lower + 1] = w
+    A[lower] -= w
+    A[lower[table.cell == 0]] = 0.0
+    nu = delta ** 2 * np.add.reduceat(A * A, table.starts[:-1] + np.arange(K))
     s.setflags(write=False)
     nu.setflags(write=False)
     return s, nu

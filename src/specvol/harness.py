@@ -50,6 +50,10 @@ class ExperimentConfig:
             raise ValueError("delta must be positive")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if not 0 <= self.master_seed < 2 ** 32:
+            # replication_seed shifts it left by 32 bits and rng_for keeps 64,
+            # so a larger seed would replay the streams of a smaller one
+            raise ValueError(f"master_seed must be in [0, 2^32), got {self.master_seed}")
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,5 @@ def block_coefficients(obs: ObservationSet, grid: BlockGrid) -> SpectralCoeffici
         raise ConfigurationError(
             f"need >= 2 observations per block: n*h = {n * grid.h:.3f} with n={n}, K={grid.K}"
         )
-    geom = _kernels.block_geometry(n, grid.K)
-    scale = _kernels.coefficient_scales(n, grid.K, grid.J)
-    y = _kernels.block_sums(geom, obs.increments(), grid.J, scale)
+    y = _kernels.block_sums(obs.increments(), grid.K, grid.J)
     return SpectralCoefficients(grid=grid, y=y, source="from-observations", eps=obs.eps())

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import specvol
 from specvol.cli import dispatch
 
 CONST = {"kind": "constant", "level": 1.0}
@@ -91,6 +96,22 @@ def test_mc_iv_acceptance_gate(tmp_path, capsys):
     strict = dict(base, acceptance={"variance_rtol": 1e-9})
     bad_cfg = write_cfg(tmp_path, "strict.json", strict)
     assert run(["mc-iv", "--config", bad_cfg, "--out", tmp_path / "mc2.json"]) == 2
+
+
+def test_mc_iv_seed_out_of_range(tmp_path):
+    cfg = write_cfg(tmp_path, "mc.json", {
+        "schema_version": 1, "spec": CONST, "n": 1024, "delta": 0.3,
+        "replications": 4, "master_seed": 4, "h0_rule": 8.0, "J_rule": 16})
+    src = str(Path(specvol.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specvol.cli", "mc-iv", "--config", cfg,
+         "--out", str(tmp_path / "mc.json.out"), "--seed", str(2**32)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "master_seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_rate_command(tmp_path):

@@ -35,6 +35,15 @@ def test_config_validation():
         small_cfg(parallelism=0)
 
 
+def test_master_seed_range():
+    # master seeds m and m + 2^32 would draw identical replication streams
+    small_cfg(master_seed=0)
+    small_cfg(master_seed=2**32 - 1)
+    for bad in (-1, 2**32, 5 + 2**32):
+        with pytest.raises(ValueError, match="master_seed"):
+            small_cfg(master_seed=bad)
+
+
 def test_resolve_design_rules():
     cfg = small_cfg(h0_rule="log", J_rule="loglog")
     design = resolve_design(cfg)
