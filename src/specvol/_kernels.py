@@ -1,31 +1,43 @@
-"""The block-coefficient transform: one exact sum on a common integer grid.
+"""The block-coefficient transform: products over offset classes of blocks.
 
 Observations live on cells [(i-1)/n, i/n]; block k covers [k/K, (k+1)/K].
-Each block is cut into pieces by the cell edges.  With bw = n / gcd(n, K),
-every piece edge inside a block is an integer m on the grid u = m / bw,
-0 <= m <= bw.  For a piece [m_lo, m_hi] of block k cut from cell i, the
-frequency-j coefficient picks up
+Each block is cut into pieces by the cell edges.  With g = gcd(n, K),
+cw = K/g and bw = n/g, every piece edge inside a block is an integer m on
+the grid u = m / bw, 0 <= m <= bw.  For a piece [m_lo, m_hi] of block k cut
+from cell i, the frequency-j coefficient picks up
 
     scale_j * (cos(j*pi*m_hi/bw) - cos(j*pi*m_lo/bw)) * dY[i]
 
 with scale_j = n * sqrt(2h) * h / (pi^2 j^2): the exact integral of the sine
-antiderivative over the piece, times n, applied to the increment.  Summation
-by parts turns the block sum into one cosine sum on the grid,
+antiderivative over the piece, times n, applied to the increment.
 
-    y[j,k] = scale_j * sum_{m=0..bw} cos(j*pi*m/bw) * g[k,m],
+The K blocks fall into cw offset classes of g blocks each.  Block
+k = r + i*cw starts at cell first_r + i*bw with first_r = floor(r*bw/cw) and
+spans count_r cells, and every block of class r has the same piece edges.
+So the increments of a class are one strided (g, count_r) view of dY, and its
+coefficients are that view times one weight matrix
 
-where g[k] holds +dY[i] at each piece's upper edge and -dY[i] at its lower
-edge.  The piece table of an (n, K) layout is built once by integer
-arithmetic and cached.  Two strategies evaluate the sum:
+    D_r[p, j] = scale_j * (cos(j*pi*m_hi[p]/bw) - cos(j*pi*m_lo[p]/bw)).
 
-- dense: a DCT-I over rows of g, which yields every frequency j <= bw at
-  once, sum = (X_j + g[k,0] + (-1)^j g[k,bw]) / 2.  g is built a chunk of
-  blocks at a time, so memory stays flat however large L = K * bw is;
-- pass: one sweep over the pieces per frequency with a cosine table of only
-  bw + 1 values.
+Two evaluators compute the sum; `use_dst` picks one from (n, K, J) alone, so
+the result does not depend on anything but the layout:
 
-`use_dct` picks one from (n, K, J) alone, so the result does not depend on
-anything but the layout.
+- dst: on aligned grids (cw = 1, every block holds bw whole cells) and
+  1 < J <= bw, piece p of a block is cell p, and
+
+      cos(j*pi*(p+1)/bw) - cos(j*pi*p/bw)
+          = -2 sin(j*pi/(2bw)) * sin(j*pi*(2p+1)/(2bw)),
+
+  so y[j,k] = -scale_j * sin(j*pi/(2bw)) * DST-II(dY.reshape(K, bw)[k])[j-1]:
+  one sine transform of the increment rows, a reshape with no copy, yields
+  every frequency at once.  This keeps the main IV grid off BLAS: a threaded
+  BLAS product there spins its idle thread between calls and costs more CPU
+  time than it saves;
+- products: everywhere else.  J = 1 is one matrix-vector reduction per class
+  (einsum, no BLAS); J > 1 is a matrix product per class.  Up to
+  _VIEW_CLASSES classes run one by one on strided views; more are batched
+  through a gather of (g, classes, cmax) windows.  The weights of a layout are
+  cached when they fit in _PLAN_BYTES and built a chunk at a time otherwise.
 """
 
 from __future__ import annotations
@@ -35,13 +47,15 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import fft
 
-# A dense grid entry (zero-fill, scatter, DCT butterfly, read-out) costs about
-# as much as two piece terms of the per-frequency pass.
-_DENSE_COST = 2.0
-# Dense grid entries per DCT call: bounds the transient memory of one call.
-_DENSE_CHUNK = 1 << 17
+# Classes evaluated one at a time on strided views; more are batched.
+_VIEW_CLASSES = 12
+# Largest weight array (cw, cmax, J) a layout keeps cached.
+_PLAN_BYTES = 1 << 24
+# Weight and window bytes built at once when the weights are not cached.
+_CHUNK_BYTES = 1 << 20
 
 
 def active_backend() -> str:
@@ -50,38 +64,38 @@ def active_backend() -> str:
 
 
 @dataclass(frozen=True)
-class PieceTable:
-    """Pieces of one (n, K) layout, in block order, cells ascending per block."""
+class ClassPlan:
+    """Offset classes of one (n, K) layout: block k = r + i*cw is block i of class r."""
 
-    K: int
+    g: int                # blocks per class
+    cw: int               # classes
     bw: int               # block width in grid units: edges are m = 0..bw
-    cell: np.ndarray      # (P,) 0-based cell index into the increment vector
-    block: np.ndarray     # (P,) block index
-    m_lo: np.ndarray      # (P,) lower edge on the block's grid
-    m_hi: np.ndarray      # (P,) upper edge on the block's grid
-    starts: np.ndarray    # (K+1,) piece offsets per block
+    first: np.ndarray     # (cw,) first cell of the class's block 0
+    count: np.ndarray     # (cw,) cells per block of the class
+    edges: np.ndarray     # (cw, cmax + 1) piece p spans [edges[r, p], edges[r, p + 1]];
+                          # pieces past count[r] are padding, [bw, bw]
+
+    @property
+    def cmax(self) -> int:
+        return self.edges.shape[1] - 1
 
 
 @lru_cache(maxsize=16)
-def piece_table(n: int, K: int) -> PieceTable:
-    """Exact piece decomposition in integer arithmetic, without a Python loop."""
+def class_plan(n: int, K: int) -> ClassPlan:
+    """Exact piece edges per offset class, in integer arithmetic."""
     if K < 1 or n < 1:
         raise ValueError("n and K must be positive")
     g = gcd(n, K)
     cw, bw = K // g, n // g          # cell and block widths in units of 1/lcm(n, K)
-    lo = np.arange(K, dtype=np.int64) * bw
+    lo = np.arange(cw, dtype=np.int64) * bw
     first = lo // cw                 # first cell meeting (lo, lo + bw)
     count = (lo + bw - 1) // cw - first + 1
-    starts = np.concatenate([[0], np.cumsum(count)])
-    block = np.repeat(np.arange(K, dtype=np.int64), count)
-    cell = np.arange(starts[-1], dtype=np.int64) - starts[block] + first[block]
-    base = lo[block]
-    m_lo = np.maximum(cell * cw, base) - base
-    m_hi = np.minimum((cell + 1) * cw, base + bw) - base
-    arrays = [a.astype(np.int32) for a in (cell, block, m_lo, m_hi, starts)]
-    for a in arrays:
+    # cell edges first_r .. first_r + cmax, clipped to the block
+    cell_edge = first[:, None] + np.arange(count.max() + 1)
+    edges = np.clip(cell_edge * cw - lo[:, None], 0, bw)
+    for a in (first, count, edges):
         a.setflags(write=False)
-    return PieceTable(K, bw, *arrays)
+    return ClassPlan(g, cw, bw, first, count, edges)
 
 
 def coefficient_scales(n: int, K: int, J: int) -> np.ndarray:
@@ -90,59 +104,86 @@ def coefficient_scales(n: int, K: int, J: int) -> np.ndarray:
     return n * np.sqrt(2.0 * h) * h / (np.pi ** 2 * j ** 2)
 
 
-def use_dct(n: int, K: int, J: int) -> bool:
-    """True when the dense DCT is cheaper than J passes over the pieces.
-
-    A pass touches about n + K pieces and a cosine table of bw + 1 values;
-    the dense grid has K * (bw + 1) entries.  The DCT returns frequencies up
-    to bw only, so larger J takes the pass.
-    """
-    bw = n // gcd(n, K)
-    return J <= bw and J * (n + K + bw + 1) > _DENSE_COST * K * (bw + 1)
+def use_dst(n: int, K: int, J: int) -> bool:
+    """True on aligned grids (K divides n) for 1 < J <= bw: the DST returns
+    frequencies up to bw = n/K only."""
+    return n % K == 0 and 1 < J <= n // K
 
 
-def _cosines(table: PieceTable, j: int) -> np.ndarray:
-    return np.cos((j * np.pi) * (np.arange(table.bw + 1) / table.bw))
+def _weights(plan: ClassPlan, scale: np.ndarray, j0: int, j1: int, r0: int, r1: int) -> np.ndarray:
+    """(r1 - r0, cmax, j1 - j0) weights D_r[p, j] of classes r0..r1-1, frequencies j0+1..j1."""
+    u = (np.pi / plan.bw) * np.arange(j0 + 1, j1 + 1, dtype=np.float64)
+    c = np.cos(plan.edges[r0:r1, :, None] * u)      # one cosine per edge, shared by two pieces
+    return scale[j0:j1] * (c[:, 1:] - c[:, :-1])
 
 
-def _pass_sums(table: PieceTable, dY: np.ndarray, J: int, scale: np.ndarray) -> np.ndarray:
-    out = np.empty((J, table.K), dtype=np.float64)
-    d = dY[table.cell]
-    for j in range(1, J + 1):
-        c = _cosines(table, j)
-        out[j - 1] = scale[j - 1] * np.add.reduceat((c[table.m_hi] - c[table.m_lo]) * d, table.starts[:-1])
-    return out
+def _fits_cache(plan: ClassPlan, J: int) -> bool:
+    return 8 * plan.cw * plan.cmax * J <= _PLAN_BYTES
 
 
-def _dct_sums(table: PieceTable, dY: np.ndarray, J: int, scale: np.ndarray) -> np.ndarray:
-    K, bw = table.K, table.bw
-    out = np.empty((J, K), dtype=np.float64)
-    half_scale = 0.5 * scale[:, None]
-    sign = np.where(np.arange(1, J + 1) % 2 == 0, 1.0, -1.0)[:, None]
-    rows = max(1, _DENSE_CHUNK // (bw + 1))
-    for k0 in range(0, K, rows):
-        k1 = min(K, k0 + rows)
-        p = slice(table.starts[k0], table.starts[k1])
-        blk = table.block[p] - k0
-        d = dY[table.cell[p]]
-        g = np.zeros((k1 - k0, bw + 1))
-        g[blk, table.m_hi[p]] = d      # edges are distinct within a block,
-        g[blk, table.m_lo[p]] -= d     # so neither scatter collides
-        edges = g[:, 0] + sign * g[:, bw]
-        X = fft.dct(g, type=1, axis=1, overwrite_x=True)[:, 1:J + 1].T
-        out[:, k0:k1] = half_scale * (X + edges)
-    return out
+@lru_cache(maxsize=8)
+def _cached_weights(n: int, K: int, J: int) -> np.ndarray:
+    plan = class_plan(n, K)
+    D = _weights(plan, coefficient_scales(n, K, J), 0, J, 0, plan.cw)
+    D.setflags(write=False)
+    return D
+
+
+def _chunks(plan: ClassPlan, J: int):
+    """(r0, r1, j0, j1) chunks of classes and frequencies whose weights and
+    windows stay within _CHUNK_BYTES."""
+    jc = min(J, max(1, _CHUNK_BYTES // (8 * plan.cmax)))
+    rc = max(1, _CHUNK_BYTES // (8 * plan.cmax * (jc + plan.g)))
+    return [(r0, min(plan.cw, r0 + rc), j0, min(J, j0 + jc))
+            for r0 in range(0, plan.cw, rc) for j0 in range(0, J, jc)]
+
+
+def _class_products(plan: ClassPlan, dY: np.ndarray, J: int, scale: np.ndarray) -> np.ndarray:
+    g, cw, bw = plan.g, plan.cw, plan.bw
+    step = dY.strides[0]
+    out = np.empty((J, g, cw))       # out[j, i, r] is y[j, r + i*cw]
+    cached = _fits_cache(plan, J)
+    if cw > _VIEW_CLASSES:
+        # block windows of cmax cells; the zero tail keeps the last ones in range
+        windows = sliding_window_view(np.concatenate([dY, np.zeros(plan.cmax)]), plan.cmax)
+        starts = plan.first + bw * np.arange(g)[:, None]          # (g, cw)
+    for r0, r1, j0, j1 in [(0, cw, 0, J)] if cached else _chunks(plan, J):
+        D = _cached_weights(g * bw, g * cw, J) if cached else _weights(plan, scale, j0, j1, r0, r1)
+        if cw > _VIEW_CLASSES:
+            X = windows[starts[:, r0:r1]]                         # (g, r1 - r0, cmax)
+            if j1 - j0 == 1:
+                out[j0, :, r0:r1] = np.einsum("kcp,cp->kc", X, D[:, :, 0])
+            else:
+                out[j0:j1, :, r0:r1] = np.matmul(X.transpose(1, 0, 2), D).transpose(2, 1, 0)
+        else:
+            for r in range(r0, r1):
+                c = int(plan.count[r])
+                # block i of the class: cells first_r + i*bw .. first_r + i*bw + c - 1
+                view = as_strided(dY[plan.first[r]:], shape=(g, c), strides=(bw * step, step))
+                w = D[r - r0, :c]
+                if j1 - j0 == 1:
+                    out[j0, :, r] = np.einsum("kp,p->k", view, w[:, 0])
+                else:
+                    out[j0:j1, :, r] = (view @ w).T
+    return out.reshape(J, g * cw)
+
+
+def _dst_sums(dY: np.ndarray, K: int, J: int, scale: np.ndarray) -> np.ndarray:
+    rows = dY.reshape(K, -1)
+    bw = rows.shape[1]
+    S = fft.dst(rows, type=2, axis=1)[:, :J].T
+    j = np.arange(1, J + 1, dtype=np.float64)
+    return (-scale * np.sin(j * (np.pi / (2 * bw))))[:, None] * S
 
 
 def block_sums(dY: np.ndarray, K: int, J: int) -> np.ndarray:
     """Coefficients y[j-1,k] of the increments dY on K blocks, frequencies 1..J."""
-    dY = np.asarray(dY, dtype=np.float64)
+    dY = np.ascontiguousarray(dY, dtype=np.float64)
     n = dY.size
-    table = piece_table(n, K)
     scale = coefficient_scales(n, K, J)
-    if use_dct(n, K, J):
-        return _dct_sums(table, dY, J, scale)
-    return _pass_sums(table, dY, J, scale)
+    if use_dst(n, K, J):
+        return _dst_sums(dY, K, J, scale)
+    return _class_products(class_plan(n, K), dY, J, scale)
 
 
 @lru_cache(maxsize=16)
@@ -156,20 +197,18 @@ def block_normalizers(n: int, K: int, delta: float, j: int = 1):
     coefficients.  These converge to (h^2/(pi^2 j^2), delta^2/n) as the cell
     count per block grows.
     """
-    table = piece_table(n, K)
-    c = _cosines(table, j)
-    w = coefficient_scales(n, K, j)[j - 1] * (c[table.m_hi] - c[table.m_lo])
-    s = np.add.reduceat(w * w, table.starts[:-1]) / n
-    # Noise weights: block k has one more edge than pieces, so piece p's
-    # edges sit at p + k and p + k + 1.  eps_i enters with the weight of its
-    # cell minus that of the next cell; eps_0 = 0 drops the lower edge of
-    # cell 0 in every block that it starts.
-    lower = np.arange(w.size) + table.block
-    A = np.zeros(w.size + K)
-    A[lower + 1] = w
-    A[lower] -= w
-    A[lower[table.cell == 0]] = 0.0
-    nu = delta ** 2 * np.add.reduceat(A * A, table.starts[:-1] + np.arange(K))
+    plan = class_plan(n, K)
+    w = _weights(plan, coefficient_scales(n, K, j), j - 1, j, 0, plan.cw)[:, :, 0]
+    s = np.tile(np.sum(w * w, axis=1) / n, plan.g)
+    # Noise weights: eps_i enters with the weight of its cell minus that of
+    # the next cell, so a block's count cells give count + 1 noise weights
+    # (padding pieces weigh 0).  eps_0 = 0 drops the lower edge of cell 0,
+    # which only block 0 starts.
+    A = np.zeros((plan.cw, plan.cmax + 1))
+    A[:, 1:] = w
+    A[:, :-1] -= w
+    nu = np.tile(delta ** 2 * np.sum(A * A, axis=1), plan.g)
+    nu[0] = delta ** 2 * np.sum(A[0, 1:] ** 2)
     s.setflags(write=False)
     nu.setflags(write=False)
     return s, nu

@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
-from scipy.stats import linregress
 
 from . import volmodel
 from .volmodel import VolatilitySpec
@@ -174,6 +172,8 @@ def hellinger_decay(spec: VolatilitySpec, delta: float, n_list) -> DecayResult:
         q = symmetrized_covariance(spec, n, delta)
         h2s.append(hellinger_exact(p, q) ** 2)
         bounds.append(hellinger_upper_bound(p, q))
+    from scipy.stats import linregress  # deferred: importing scipy.stats costs 0.2 s
+
     slope = float(linregress(np.log(ns), np.log(h2s)).slope)
     return DecayResult(
         n_values=tuple(ns), h2_values=tuple(h2s), bound_values=tuple(bounds), slope=slope
@@ -188,6 +188,8 @@ def oscillating_gap(n: int) -> float:
     """
     if int(n) != n or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
+    from scipy.integrate import quad  # deferred: importing it costs a third of a second
+
     u = n ** (-0.25)
     val, _ = quad(lambda v: ((1.0 + u * np.cos(v)) ** 0.25 - 1.0) ** 2, 0.0, np.pi,
                   epsabs=1e-14, epsrel=1e-13)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,15 @@ class SpectralCoefficients:
             raise ValueError(f"unknown source tag {self.source!r}")
 
 
+@lru_cache(maxsize=8)
+def _increment_sd(spec: VolatilitySpec, n: int) -> np.ndarray:
+    """Standard deviations sqrt(a(i/n) - a((i-1)/n)) of the n latent increments."""
+    ts = np.arange(n + 1) / n
+    sd = np.sqrt(np.diff(volmodel.cumulative_variance(spec, ts)))
+    sd.setflags(write=False)
+    return sd
+
+
 def simulate_observations(spec: VolatilitySpec, n: int, delta: float, seed: int) -> ObservationSet:
     """Draw Y_1..Y_n from the exact law of the experiment.
 
@@ -131,9 +141,7 @@ def simulate_observations(spec: VolatilitySpec, n: int, delta: float, seed: int)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = rng_for(seed)
-    ts = np.arange(n + 1) / n
-    inc_var = np.diff(volmodel.cumulative_variance(spec, ts))
-    x = np.cumsum(rng.standard_normal(n) * np.sqrt(inc_var))
+    x = np.cumsum(rng.standard_normal(n) * _increment_sd(spec, n))
     y = x + delta * rng.standard_normal(n) if delta > 0 else x
     return ObservationSet(
         n=n, delta=float(delta), values=y, seed=int(seed),

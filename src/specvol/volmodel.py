@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 QUAD_TOL = 1e-13
 
@@ -145,6 +144,8 @@ def integrated_power(spec: VolatilitySpec, p: float, a: float = 0.0, b: float = 
         return sum(v ** (p / 2) * w for v, w in _pc_block_overlaps(spec, a, b))
     if p == 2:
         return float(cumulative_variance(spec, b) - cumulative_variance(spec, a))
+    from scipy.integrate import quad  # deferred: importing it costs a third of a second
+
     if isinstance(spec, Sinusoid):
         f = lambda t: (spec.base + spec.amplitude * np.sin(2 * np.pi * spec.cycles * t + spec.phase)) ** (p / 2)
         val, _ = quad(f, a, b, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200 + 50 * spec.cycles)

@@ -72,6 +72,44 @@ def test_spot_validation():
         est.spot_estimate(coeffs, 64, 1.0, 0.2, [9.0])
 
 
+def loop_spot_means(proxies, h, b, t_grid):
+    """The per-t window loop that spot_estimate replaced, written out."""
+    K = proxies.size
+    prefix = np.concatenate([[0.0], np.cumsum(proxies)])
+    est_ = np.empty(len(t_grid))
+    for idx, t in enumerate(t_grid):
+        k_lo = max(0, int(np.ceil((t - b) / h - 1e-12)))
+        k_hi = min(K - 1, int(np.floor((t + b) / h + 1e-12)))
+        if k_hi < k_lo:
+            raise est.EmptyWindowError(f"no blocks within distance {b} of t={t}")
+        est_[idx] = (prefix[k_hi + 1] - prefix[k_lo]) / (k_hi - k_lo + 1)
+    return est_
+
+
+@pytest.mark.parametrize("K", [4, 7, 20, 64, 257, 640, 2560])
+def test_spot_windows_match_loop(K):
+    eps = 0.01
+    grid = BlockGrid(K=K, J=1, eps=eps)
+    coeffs = draw_exact_coefficients(vm.Constant(1.0), grid, eps, seed=K)
+    proxies = est.block_proxies(coeffs, 4 * K, 1.0)
+    h = grid.h
+    t_grids = [np.linspace(0.0, 1.0, 257), np.arange(K) * h, np.array([0.0, 0.5 * h, 1.0 - 1e-13, 1.0, 0.37])]
+    for b in (h, 1.5 * h, 3 * h, max(h, 0.2), 0.5):
+        for t_grid in t_grids:
+            curve = est.spot_estimate(coeffs, 4 * K, 1.0, b, t_grid, clip_floor=1e-4)
+            want = np.maximum(loop_spot_means(proxies, h, b, t_grid), 1e-4)
+            assert np.array_equal(curve.estimates, want)
+
+
+def test_spot_empty_window_names_first_empty_t():
+    grid = BlockGrid(K=8, J=1, eps=0.125)
+    coeffs = draw_exact_coefficients(vm.Constant(1.0), grid, 0.125, seed=0)
+    with pytest.raises(est.EmptyWindowError, match=r"t=1.5$"):
+        est.spot_estimate(coeffs, 64, 1.0, 0.2, [0.5, 1.5, 2.5, -1.0])
+    with pytest.raises(est.EmptyWindowError, match=r"t=nan$"):
+        est.spot_estimate(coeffs, 64, 1.0, 0.2, [0.5, np.nan])
+
+
 def test_spot_clipping():
     grid = BlockGrid(K=4, J=1, eps=0.5)
     coeffs = draw_exact_coefficients(vm.Constant(1e-4), grid, 0.5, seed=2)

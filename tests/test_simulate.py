@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from specvol import simulate
 from specvol import volmodel as vm
 from specvol.simulate import (
     BlockGrid,
@@ -24,6 +25,21 @@ def test_determinism_byte_identical():
     assert np.array_equal(a.values, b.values)
     c = simulate_observations(vm.Sinusoid(1, 0.3, 1, 0.2), 512, 0.2, seed=43)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_increment_sd_cache_keeps_records_identical():
+    spec = vm.Sinusoid(1.0, 0.5, 1, 0.0)
+    first = simulate_observations(spec, 1024, 0.1, seed=7)
+    again = simulate_observations(vm.Sinusoid(1.0, 0.5, 1, 0.0), 1024, 0.1, seed=7)
+    assert first.values.tobytes() == again.values.tobytes()
+    sd = simulate._increment_sd(spec, 1024)
+    assert not sd.flags.writeable
+    simulate._increment_sd.cache_clear()
+    fresh = simulate_observations(spec, 1024, 0.1, seed=7)
+    assert fresh.values.tobytes() == first.values.tobytes()
+    # the cached deviations are those of the closed-form cumulative variance
+    want = np.sqrt(np.diff(vm.cumulative_variance(spec, np.arange(1025) / 1024)))
+    assert np.array_equal(simulate._increment_sd(spec, 1024), want)
 
 
 def test_eps_accessor():
