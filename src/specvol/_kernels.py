@@ -36,7 +36,7 @@ the result does not depend on anything but the layout:
 - products: everywhere else.  J = 1 is one matrix-vector reduction per class
   (einsum, no BLAS); J > 1 is a matrix product per class.  Up to
   _VIEW_CLASSES classes run one by one on strided views; more are batched
-  through a gather of (g, classes, cmax) windows.  The weights of a layout are
+  through one gather of the cells of every block, cmax per block.  The weights of a layout are
   cached when they fit in _PLAN_BYTES and built a chunk at a time otherwise.
 """
 
@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import fft
 
 # Classes evaluated one at a time on strided views; more are batched.
@@ -129,6 +129,18 @@ def _cached_weights(n: int, K: int, J: int) -> np.ndarray:
     return D
 
 
+@lru_cache(maxsize=8)
+def _window_cells(n: int, K: int) -> np.ndarray:
+    """(g, cw, cmax) cell of piece p of block i of class r.  Padding pieces
+    read cell n, a zero appended to the increments."""
+    plan = class_plan(n, K)
+    p = np.arange(plan.cmax)
+    cells = plan.first[:, None] + plan.bw * np.arange(plan.g)[:, None, None] + p
+    cells = np.where(p < plan.count[:, None], cells, n)
+    cells.setflags(write=False)
+    return cells
+
+
 def _chunks(plan: ClassPlan, J: int):
     """(r0, r1, j0, j1) chunks of classes and frequencies whose weights and
     windows stay within _CHUNK_BYTES."""
@@ -144,13 +156,12 @@ def _class_products(plan: ClassPlan, dY: np.ndarray, J: int, scale: np.ndarray) 
     out = np.empty((J, g, cw))       # out[j, i, r] is y[j, r + i*cw]
     cached = _fits_cache(plan, J)
     if cw > _VIEW_CLASSES:
-        # block windows of cmax cells; the zero tail keeps the last ones in range
-        windows = sliding_window_view(np.concatenate([dY, np.zeros(plan.cmax)]), plan.cmax)
-        starts = plan.first + bw * np.arange(g)[:, None]          # (g, cw)
+        cells = _window_cells(g * bw, g * cw)
+        padded = np.append(dY, 0.0)
     for r0, r1, j0, j1 in [(0, cw, 0, J)] if cached else _chunks(plan, J):
         D = _cached_weights(g * bw, g * cw, J) if cached else _weights(plan, scale, j0, j1, r0, r1)
         if cw > _VIEW_CLASSES:
-            X = windows[starts[:, r0:r1]]                         # (g, r1 - r0, cmax)
+            X = padded[cells[:, r0:r1]]                           # (g, r1 - r0, cmax)
             if j1 - j0 == 1:
                 out[j0, :, r0:r1] = np.einsum("kcp,cp->kc", X, D[:, :, 0])
             else:

@@ -153,6 +153,17 @@ def test_weights_above_bound_are_not_cached(rng):
     assert kk._cached_weights.cache_info().currsize == 1
 
 
+def test_nonfinite_increment_stays_in_its_blocks():
+    for n, K, J in [(239, 100, 2), (239, 100, 1), (80, 7, 3), (64, 4, 3)]:
+        for cell in (0, n // 2, n - 1):
+            dY = np.ones(n)
+            dY[cell] = np.nan
+            touched = np.array([cell in direct_edges(n, K, k)[0] for k in range(K)])
+            for name, y in run_evaluators(dY, K, J).items():
+                assert np.all(np.isnan(y[:, touched])), name
+                assert np.all(np.isfinite(y[:, ~touched])), name
+
+
 def test_strategy_rule():
     assert kk.use_dst(2**16, 32, 192)          # aligned main grid: every frequency at once
     assert not kk.use_dst(2**18, 160, 64)      # five offset classes: class products
