@@ -34,10 +34,12 @@ the result does not depend on anything but the layout:
   BLAS product there spins its idle thread between calls and costs more CPU
   time than it saves;
 - products: everywhere else.  J = 1 is one matrix-vector reduction per class
-  (einsum, no BLAS); J > 1 is a matrix product per class.  Up to
-  _VIEW_CLASSES classes run one by one on strided views; more are batched
-  through one gather of the cells of every block, cmax per block.  The weights of a layout are
-  cached when they fit in _PLAN_BYTES and built a chunk at a time otherwise.
+  (einsum, no BLAS); J > 1 is a matrix product per class.  Classes of at
+  least _VIEW_CELLS cells run one by one on strided views; smaller ones are
+  batched through one gather of the cells of every block, cmax per block.
+  The weights of a layout are cached when they fit in _PLAN_BYTES (16 MiB);
+  the last two layouts (the main and spot grids of one n) are kept, so the
+  cache holds at most 32 MiB.  Larger weights are built a chunk at a time.
 """
 
 from __future__ import annotations
@@ -50,9 +52,16 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import fft
 
-# Classes evaluated one at a time on strided views; more are batched.
-_VIEW_CLASSES = 12
-# Largest weight array (cw, cmax, J) a layout keeps cached.
+# Cells per class (n / cw) from which classes run one at a time on strided
+# views; smaller classes are batched (the gather copies dY, each view costs a
+# Python call).  Timed per call on 2 vCPUs for n = 2^12 .. 2^18, J = 1 and 64,
+# 1 to 129 classes: the two paths cross between 4000 and 8000 cells per class
+# for n >= 2^14, and above that the batched path is up to 14 times slower
+# (2 to 6.5 times in three runs on the 13107-cell spot classes of
+# 2^16/2560/1).  At 4096 the rule lost at most 13% to the faster path.
+_VIEW_CELLS = 4096
+# Largest weight array (cw, cmax, J) a layout keeps cached; two layouts are
+# kept, so the weight cache holds at most 2 * _PLAN_BYTES.
 _PLAN_BYTES = 1 << 24
 # Weight and window bytes built at once when the weights are not cached.
 _CHUNK_BYTES = 1 << 20
@@ -121,7 +130,7 @@ def _fits_cache(plan: ClassPlan, J: int) -> bool:
     return 8 * plan.cw * plan.cmax * J <= _PLAN_BYTES
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _cached_weights(n: int, K: int, J: int) -> np.ndarray:
     plan = class_plan(n, K)
     D = _weights(plan, coefficient_scales(n, K, J), 0, J, 0, plan.cw)
@@ -129,7 +138,7 @@ def _cached_weights(n: int, K: int, J: int) -> np.ndarray:
     return D
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _window_cells(n: int, K: int) -> np.ndarray:
     """(g, cw, cmax) cell of piece p of block i of class r.  Padding pieces
     read cell n, a zero appended to the increments."""
@@ -139,6 +148,10 @@ def _window_cells(n: int, K: int) -> np.ndarray:
     cells = np.where(p < plan.count[:, None], cells, n)
     cells.setflags(write=False)
     return cells
+
+
+def _batched(plan: ClassPlan) -> bool:
+    return plan.g * plan.bw < _VIEW_CELLS * plan.cw
 
 
 def _chunks(plan: ClassPlan, J: int):
@@ -155,12 +168,13 @@ def _class_products(plan: ClassPlan, dY: np.ndarray, J: int, scale: np.ndarray) 
     step = dY.strides[0]
     out = np.empty((J, g, cw))       # out[j, i, r] is y[j, r + i*cw]
     cached = _fits_cache(plan, J)
-    if cw > _VIEW_CLASSES:
+    batched = _batched(plan)
+    if batched:
         cells = _window_cells(g * bw, g * cw)
         padded = np.append(dY, 0.0)
     for r0, r1, j0, j1 in [(0, cw, 0, J)] if cached else _chunks(plan, J):
         D = _cached_weights(g * bw, g * cw, J) if cached else _weights(plan, scale, j0, j1, r0, r1)
-        if cw > _VIEW_CLASSES:
+        if batched:
             X = padded[cells[:, r0:r1]]                           # (g, r1 - r0, cmax)
             if j1 - j0 == 1:
                 out[j0, :, r0:r1] = np.einsum("kcp,cp->kc", X, D[:, :, 0])

@@ -64,8 +64,8 @@ def run_evaluators(dY, K, J):
     plan = kk.class_plan(n, K)
     scale = kk.coefficient_scales(n, K, J)
     out = {}
-    for name, view_classes in (("views", plan.cw), ("batched", 0)):
-        with patched(_VIEW_CLASSES=view_classes):
+    for name, view_cells in (("views", 0), ("batched", n + 1)):
+        with patched(_VIEW_CELLS=view_cells):
             out[name] = kk._class_products(plan, dY, J, scale)
             # two weight rows per chunk: several class and frequency chunks
             with patched(_PLAN_BYTES=0, _CHUNK_BYTES=2 * 8 * plan.cmax):
@@ -79,7 +79,7 @@ def chosen_evaluator(n, K, J):
     if kk.use_dst(n, K, J):
         return "dst"
     plan = kk.class_plan(n, K)
-    name = "views" if plan.cw <= kk._VIEW_CLASSES else "batched"
+    name = "batched" if kk._batched(plan) else "views"
     return name if kk._fits_cache(plan, J) else name + "-chunked"
 
 
@@ -102,8 +102,8 @@ def layouts(draw):
         K = draw(st.sampled_from([K for K in range(1, n // 2 + 1) if n % K == 0]))
     elif kind == "any":
         K = draw(st.integers(1, n // 2))
-    else:  # more classes than the strided-view loop takes
-        K = draw(st.sampled_from([K for K in range(1, n // 2 + 1) if K // gcd(n, K) > kk._VIEW_CLASSES]))
+    else:  # many classes of few blocks each
+        K = draw(st.sampled_from([K for K in range(1, n // 2 + 1) if K // gcd(n, K) > 12]))
     bw = n // gcd(n, K)
     J = draw(st.integers(1, min(bw + 3, 40)))
     return n, K, J
@@ -151,6 +151,10 @@ def test_weights_above_bound_are_not_cached(rng):
     assert kk._cached_weights.cache_info().currsize == 0
     kk.block_sums(rng.standard_normal(n), K, J)
     assert kk._cached_weights.cache_info().currsize == 1
+    # two layouts are kept, so the cache holds at most 2 * _PLAN_BYTES
+    for n, K, J in [(1000, 7, 13), (250, 40, 3), (4096, 40, 16)]:
+        kk.block_sums(rng.standard_normal(n), K, J)
+    assert kk._cached_weights.cache_info().currsize == 2
 
 
 def test_nonfinite_increment_stays_in_its_blocks():
@@ -171,6 +175,16 @@ def test_strategy_rule():
     assert not kk.use_dst(64, 4, 1)            # aligned, but J = 1
     assert not kk.use_dst(64, 32, 3)           # aligned, but J > bw = 2
     assert not kk.use_dst(10**5, 3162, 15)     # 3162 classes of one block
+
+
+def test_view_rule():
+    # classes of at least 4096 cells run on strided views, smaller ones are batched
+    assert not kk._batched(kk.class_plan(2**16, 2560))   # 5 classes of 13107 cells
+    assert not kk._batched(kk.class_plan(2**18, 160))    # 5 classes of 52429 cells
+    assert not kk._batched(kk.class_plan(4096, 4096))    # one class of 4096 cells
+    assert kk._batched(kk.class_plan(4096, 20))          # 5 classes of 819 cells
+    assert kk._batched(kk.class_plan(2**16, 2**15 + 1))  # 32769 classes of 2 cells
+    assert kk._batched(kk.class_plan(100003, 3162))      # 3162 classes of 32 cells
 
 
 def direct_edges(n, K, k):
