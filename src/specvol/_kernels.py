@@ -37,9 +37,14 @@ the result does not depend on anything but the layout:
   (einsum, no BLAS); J > 1 is a matrix product per class.  Classes of at
   least _VIEW_CELLS cells run one by one on strided views; smaller ones are
   batched through one gather of the cells of every block, cmax per block.
-  The weights of a layout are cached when they fit in _PLAN_BYTES (16 MiB);
-  the last two layouts (the main and spot grids of one n) are kept, so the
-  cache holds at most 32 MiB.  Larger weights are built a chunk at a time.
+  The weights of a layout are cached when they fit in _PLAN_BYTES (8 MiB);
+  the last eight layouts are kept (the main and spot grids of the four n of
+  a rate regression), so the cache holds at most 64 MiB.  Larger weights are
+  built a chunk at a time.
+
+`prepare(n, K, J)` builds the cached weights and cell windows that
+`block_sums` reads for a layout, so that a process can build them before it
+forks workers.
 """
 
 from __future__ import annotations
@@ -60,9 +65,12 @@ from scipy import fft
 # (2 to 6.5 times in three runs on the 13107-cell spot classes of
 # 2^16/2560/1).  At 4096 the rule lost at most 13% to the faster path.
 _VIEW_CELLS = 4096
-# Largest weight array (cw, cmax, J) a layout keeps cached; two layouts are
-# kept, so the weight cache holds at most 2 * _PLAN_BYTES.
-_PLAN_BYTES = 1 << 24
+# Largest weight array (cw, cmax, J) a layout keeps cached.  _CACHED_LAYOUTS
+# layouts are kept, so the weight cache holds at most 8 * 8 MiB = 64 MiB; the
+# largest layout of configs/rate.json (2^18/160/64) takes 4.0 MiB, and its
+# eight layouts 7.9 MB in all.
+_PLAN_BYTES = 1 << 23
+_CACHED_LAYOUTS = 8
 # Weight and window bytes built at once when the weights are not cached.
 _CHUNK_BYTES = 1 << 20
 
@@ -122,15 +130,18 @@ def use_dst(n: int, K: int, J: int) -> bool:
 def _weights(plan: ClassPlan, scale: np.ndarray, j0: int, j1: int, r0: int, r1: int) -> np.ndarray:
     """(r1 - r0, cmax, j1 - j0) weights D_r[p, j] of classes r0..r1-1, frequencies j0+1..j1."""
     u = (np.pi / plan.bw) * np.arange(j0 + 1, j1 + 1, dtype=np.float64)
-    c = np.cos(plan.edges[r0:r1, :, None] * u)      # one cosine per edge, shared by two pieces
-    return scale[j0:j1] * (c[:, 1:] - c[:, :-1])
+    c = plan.edges[r0:r1, :, None] * u
+    np.cos(c, out=c)                                # one cosine per edge, shared by two pieces
+    D = c[:, 1:] - c[:, :-1]
+    D *= scale[j0:j1]                               # in place: the weights are the largest build
+    return D
 
 
 def _fits_cache(plan: ClassPlan, J: int) -> bool:
     return 8 * plan.cw * plan.cmax * J <= _PLAN_BYTES
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=_CACHED_LAYOUTS)
 def _cached_weights(n: int, K: int, J: int) -> np.ndarray:
     plan = class_plan(n, K)
     D = _weights(plan, coefficient_scales(n, K, J), 0, J, 0, plan.cw)
@@ -138,7 +149,7 @@ def _cached_weights(n: int, K: int, J: int) -> np.ndarray:
     return D
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=_CACHED_LAYOUTS)
 def _window_cells(n: int, K: int) -> np.ndarray:
     """(g, cw, cmax) cell of piece p of block i of class r.  Padding pieces
     read cell n, a zero appended to the increments."""
@@ -152,6 +163,17 @@ def _window_cells(n: int, K: int) -> np.ndarray:
 
 def _batched(plan: ClassPlan) -> bool:
     return plan.g * plan.bw < _VIEW_CELLS * plan.cw
+
+
+def prepare(n: int, K: int, J: int) -> None:
+    """Fill the caches block_sums reads for the layout (n, K, J)."""
+    if use_dst(n, K, J):
+        return
+    plan = class_plan(n, K)
+    if _batched(plan):
+        _window_cells(n, K)
+    if _fits_cache(plan, J):
+        _cached_weights(n, K, J)
 
 
 def _chunks(plan: ClassPlan, J: int):

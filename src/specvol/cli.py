@@ -30,7 +30,12 @@ _SPEC_SCHEMA = {
 _POSINT = {"type": "integer", "minimum": 1}
 _POSNUM = {"type": "number", "exclusiveMinimum": 0}
 
-_RULE = {"oneOf": [{"type": "number"}, {"type": "string"}]}
+# design rules: a fixed value or the name of the rule (see harness.resolve_design)
+_RULES = {
+    "h0_rule": {"oneOf": [_POSNUM, {"const": "log"}]},
+    "J_rule": {"oneOf": [_POSINT, {"const": "loglog"}]},
+    "bandwidth_rule": {"oneOf": [{"type": "number"}, {"const": "rate"}]},
+}
 
 _SCHEMAS = {
     "simulate": {
@@ -80,9 +85,7 @@ _SCHEMAS = {
             "n": _POSINT,
             "delta": _POSNUM,
             "seed": {"type": "integer"},
-            "h0_rule": _RULE,
-            "J_rule": _RULE,
-            "bandwidth_rule": _RULE,
+            **_RULES,
             "noise_convention": {"enum": ["eps2", "literal"]},
         },
     },
@@ -96,9 +99,7 @@ _SCHEMAS = {
             "delta": _POSNUM,
             "replications": _POSINT,
             "master_seed": {"type": "integer"},
-            "h0_rule": _RULE,
-            "J_rule": _RULE,
-            "bandwidth_rule": _RULE,
+            **_RULES,
             "bandwidth_scale": _POSNUM,
             "parallelism": _POSINT,
             "clip_floor": _POSNUM,
@@ -126,6 +127,7 @@ _SCHEMAS = {
                     "delta": _POSNUM,
                     "replications": _POSINT,
                     "master_seed": {"type": "integer"},
+                    **_RULES,
                 },
             },
             "n_list": {"type": "array", "items": _POSINT, "minItems": 4},

@@ -4,20 +4,29 @@ integrated-volatility estimator, and rate regressions.
 Each replication owns an independent counter-based RNG stream keyed by
 (master_seed, replication index), so results are bit-identical for any
 worker-pool size; aggregation always walks replications in index order.
+
+With parallelism > 1 a call opens one process pool, for every n of a rate
+regression.  Before the pool forks, the parent builds each n's state (the
+increment standard deviations, the transform weights and cell windows of both
+grids, the spot grid's block normalizers) in the caches the layers read, and
+the workers inherit it instead of building it on their first replication.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+from contextlib import contextmanager, suppress
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
-from . import volmodel
+from . import _kernels, volmodel
 from .estimators import integrated_volatility_estimate, spot_estimate
-from .simulate import BlockGrid, simulate_observations
+from .simulate import BlockGrid, _increment_sd, simulate_observations
 from .spectral import block_coefficients
 from .volmodel import VolatilitySpec
 
@@ -137,8 +146,35 @@ def _run_replication(cfg: ExperimentConfig, index: int) -> ReplicationResult:
         return ReplicationResult(index=index, error=f"{type(exc).__name__}: {exc}")
 
 
-def _worker(args) -> ReplicationResult:
-    return _run_replication(*args)
+def _prepare(cfgs) -> None:
+    """Build the cached state the replications of cfgs read, with the arguments
+    the layers pass, so that workers forked afterwards inherit it.  The largest
+    n goes first: its temporaries then sit on the least state built so far,
+    which keeps the peak memory of the parent down."""
+    for cfg in sorted(cfgs, key=lambda c: c.n, reverse=True):
+        design = resolve_design(cfg)
+        _increment_sd(cfg.spec, cfg.n)
+        for grid in (design.spot_grid, design.main_grid):
+            _kernels.prepare(cfg.n, grid.K, grid.J)
+        _kernels.block_normalizers(cfg.n, design.spot_grid.K, float(cfg.delta), 1)
+
+
+@contextmanager
+def _pool(cfgs):
+    """None for a serial run; else one fork pool for every config, opened after
+    _prepare has built their state and shut down when the block ends."""
+    workers = cfgs[0].parallelism
+    if workers == 1:
+        yield None
+        return
+    # state that fails to build fails every replication, which records it
+    with suppress(Exception):
+        _prepare(cfgs)
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class TooManyFailuresError(RuntimeError):
@@ -192,15 +228,19 @@ def run_iv_mc(cfg: ExperimentConfig) -> MCReport:
 
     Raises TooManyFailuresError when more than 1% of replications fail.
     """
+    with _pool([cfg]) as pool:
+        return _iv_mc(cfg, pool)
+
+
+def _iv_mc(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> MCReport:
     start = time.perf_counter()
-    tasks = [(cfg, i) for i in range(cfg.replications)]
-    if cfg.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            chunk = max(1, cfg.replications // (4 * cfg.parallelism))
-            results = list(pool.map(_worker, tasks, chunksize=chunk))
-    else:
-        results = [_run_replication(cfg, i) for i in range(cfg.replications)]
-    results.sort(key=lambda r: r.index)
+    run = partial(_run_replication, cfg)
+    indices = range(cfg.replications)
+    if pool is None:
+        results = list(map(run, indices))
+    else:   # map returns the results in index order
+        chunk = max(1, cfg.replications // (4 * cfg.parallelism))
+        results = list(pool.map(run, indices, chunksize=chunk))
     failures = tuple((r.index, r.error) for r in results if r.failed)
     if len(failures) > 0.01 * cfg.replications:
         raise TooManyFailuresError(
@@ -249,12 +289,11 @@ def run_rate_regression(cfg: ExperimentConfig, n_list) -> RateReport:
     ns = sorted(set(int(n) for n in n_list))
     if len(ns) < 4:
         raise ValueError("need at least 4 distinct n values")
-    rmses, sups, summaries = [], [], []
-    for n in ns:
-        report = run_iv_mc(replace(cfg, n=n))
-        rmses.append(report.summary["rmse_iv"])
-        sups.append(report.summary["mean_spot_sup_error"])
-        summaries.append(report.summary)
+    cfgs = [replace(cfg, n=n) for n in ns]
+    with _pool(cfgs) as pool:
+        summaries = [_iv_mc(c, pool).summary for c in cfgs]
+    rmses = [s["rmse_iv"] for s in summaries]
+    sups = [s["mean_spot_sup_error"] for s in summaries]
     ln = np.log(ns)
     iv_slope = float(np.polyfit(ln, np.log(rmses), 1)[0])
     spot_slope = float(np.polyfit(ln, np.log(sups), 1)[0])

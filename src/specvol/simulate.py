@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +97,15 @@ class ObservationSet:
         return self.delta / np.sqrt(self.n)
 
     def increments(self) -> np.ndarray:
-        """Y_i - Y_{i-1} with the Y_0 = 0 convention."""
-        return np.diff(self.values, prepend=0.0)
+        """Y_i - Y_{i-1} with the Y_0 = 0 convention, computed once per record
+        and read-only: both grids of a replication read the same array."""
+        return self._increments
+
+    @cached_property
+    def _increments(self) -> np.ndarray:
+        inc = np.diff(self.values, prepend=0.0)
+        inc.setflags(write=False)
+        return inc
 
 
 @dataclass(frozen=True)

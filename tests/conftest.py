@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -36,3 +38,15 @@ def any_specs():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a live child process, such as an unclosed pool."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:   # so that one leak does not fail every later test
+        proc.terminate()
+        proc.join()
+    if left:
+        pytest.fail(f"{len(left)} child process(es) left running: {left}")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import specvol
 from specvol.cli import dispatch
 
@@ -98,19 +100,34 @@ def test_mc_iv_acceptance_gate(tmp_path, capsys):
     assert run(["mc-iv", "--config", bad_cfg, "--out", tmp_path / "mc2.json"]) == 2
 
 
+def run_cli(args):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = str(Path(specvol.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "specvol.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
 def test_mc_iv_seed_out_of_range(tmp_path):
     cfg = write_cfg(tmp_path, "mc.json", {
         "schema_version": 1, "spec": CONST, "n": 1024, "delta": 0.3,
         "replications": 4, "master_seed": 4, "h0_rule": 8.0, "J_rule": 16})
-    src = str(Path(specvol.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "specvol.cli", "mc-iv", "--config", cfg,
-         "--out", str(tmp_path / "mc.json.out"), "--seed", str(2**32)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_cli(["mc-iv", "--config", cfg, "--out", tmp_path / "mc.json.out", "--seed", 2**32])
     assert proc.returncode == 1
     assert "master_seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("field,value", [("h0_rule", [3]), ("J_rule", "bogus")])
+def test_rate_bad_rule_names_field(tmp_path, field, value):
+    cfg = write_cfg(tmp_path, "rate.json", {
+        "schema_version": 1,
+        "base": {"spec": CONST, "delta": 0.5, "replications": 4, "master_seed": 2, field: value},
+        "n_list": [256, 512, 1024, 2048],
+    })
+    proc = run_cli(["rate", "--config", cfg, "--out", tmp_path / "rate.json.out"])
+    assert proc.returncode == 1
+    assert f"$.base.{field}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

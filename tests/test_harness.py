@@ -1,7 +1,10 @@
+import multiprocessing
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from specvol import harness
+from specvol import _kernels, harness, simulate
 from specvol import volmodel as vm
 from specvol.harness import (
     ExperimentConfig,
@@ -161,3 +164,83 @@ def test_mc_error_scaling_with_replications():
     sd_big = np.std(slopes[48], ddof=1)
     ratio = sd_small / sd_big
     assert np.sqrt(2) * 0.7 <= ratio <= np.sqrt(2) * 1.3
+
+
+def rate_cfg(**kw):
+    # the layouts of configs/rate.json: strided class views at 2^16 and 2^18,
+    # batched windows at 2^12 and 2^14, eight cached weight arrays
+    return small_cfg(n=2**12, delta=0.1, h0_rule=32.0, J_rule=64, clip_floor=0.5, **kw)
+
+
+RATE_NS = [2**12, 2**14, 2**16, 2**18]
+
+
+def without_wall(summaries):
+    return [{k: v for k, v in s.items() if k != "wall_time"} for s in summaries]
+
+
+def test_rate_regression_pool_matches_serial():
+    serial = run_rate_regression(rate_cfg(replications=6), RATE_NS)
+    pooled = run_rate_regression(rate_cfg(replications=6, parallelism=2), RATE_NS)
+    assert without_wall(pooled.summaries) == without_wall(serial.summaries)
+    assert (pooled.iv_rmse, pooled.spot_sup) == (serial.iv_rmse, serial.spot_sup)
+    assert (pooled.iv_slope, pooled.spot_slope) == (serial.iv_slope, serial.spot_slope)
+
+
+def counting_pools(monkeypatch):
+    """Pools constructed and shut down through harness.ProcessPoolExecutor."""
+    log = {"opened": 0, "shut": 0}
+
+    class Counting(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            log["opened"] += 1
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            log["shut"] += 1
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
+    return log
+
+
+def test_rate_regression_opens_one_pool(monkeypatch):
+    log = counting_pools(monkeypatch)
+    run_rate_regression(small_cfg(replications=4, delta=0.5), [256, 512, 1024, 2048])
+    assert log == {"opened": 0, "shut": 0}
+    run_rate_regression(small_cfg(replications=4, delta=0.5, parallelism=2), [256, 512, 1024, 2048])
+    assert log == {"opened": 1, "shut": 1}
+    run_iv_mc(small_cfg(replications=4, parallelism=2))
+    assert log == {"opened": 2, "shut": 2}
+
+
+def test_prepare_builds_what_a_replication_reads():
+    caches = [_kernels.class_plan, _kernels._cached_weights, _kernels._window_cells,
+              _kernels.block_normalizers, simulate._increment_sd]
+    for cache in caches:
+        cache.cache_clear()
+    cfgs = [replace(rate_cfg(), n=n) for n in RATE_NS]
+    harness._prepare(cfgs)
+    assert _kernels._cached_weights.cache_info().currsize == 8
+    assert _kernels._window_cells.cache_info().currsize > 0
+    misses = [cache.cache_info().misses for cache in caches]
+    for cfg in cfgs:
+        assert not harness._run_replication(cfg, 0).failed
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
+def test_failure_mid_regression_shuts_the_pool(monkeypatch):
+    real = harness.simulate_observations
+
+    def fails_at_1024(spec, n, delta, seed):
+        if n == 1024:
+            raise RuntimeError("injected failure")
+        return real(spec, n, delta, seed)
+
+    # patched before the pool forks, so the workers inherit it
+    monkeypatch.setattr(harness, "simulate_observations", fails_at_1024)
+    log = counting_pools(monkeypatch)
+    with pytest.raises(TooManyFailuresError, match="injected failure"):
+        run_rate_regression(small_cfg(replications=4, delta=0.5, parallelism=2), [256, 512, 1024, 2048])
+    assert log == {"opened": 1, "shut": 1}
+    assert multiprocessing.active_children() == []

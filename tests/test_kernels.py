@@ -143,6 +143,7 @@ def test_dense_chunks_match_one_chunk(rng, n, K, J):
 def test_weights_above_bound_are_not_cached(rng):
     assert kk._fits_cache(kk.class_plan(2**18, 160), 64)          # 4.2 MB of weights
     assert not kk._fits_cache(kk.class_plan(2**18, 260), 64)      # 34 MB
+    assert kk._PLAN_BYTES * kk._CACHED_LAYOUTS == 64 * 2**20      # the whole cache
     n, K, J = 1000, 7, 13
     plan = kk.class_plan(n, K)
     kk._cached_weights.cache_clear()
@@ -151,10 +152,11 @@ def test_weights_above_bound_are_not_cached(rng):
     assert kk._cached_weights.cache_info().currsize == 0
     kk.block_sums(rng.standard_normal(n), K, J)
     assert kk._cached_weights.cache_info().currsize == 1
-    # two layouts are kept, so the cache holds at most 2 * _PLAN_BYTES
-    for n, K, J in [(1000, 7, 13), (250, 40, 3), (4096, 40, 16)]:
+    # eight layouts are kept, so the cache holds at most 8 * _PLAN_BYTES
+    layouts = [(1000, 7, 13), (250, 40, 3), (4096, 40, 16)] + [(7 * m + 1, 7, 2) for m in range(40, 49)]
+    for n, K, J in layouts:
         kk.block_sums(rng.standard_normal(n), K, J)
-    assert kk._cached_weights.cache_info().currsize == 2
+    assert kk._cached_weights.cache_info().currsize == 8
 
 
 def test_nonfinite_increment_stays_in_its_blocks():

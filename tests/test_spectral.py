@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from specvol import _kernels
 from specvol import volmodel as vm
 from specvol.simulate import (
     BlockGrid,
@@ -106,6 +107,26 @@ def test_too_few_cells_per_block():
     obs = ObservationSet(n=8, delta=0.0, values=np.zeros(8), seed=0)
     with pytest.raises(ConfigurationError):
         block_coefficients(obs, BlockGrid(K=8, J=1, eps=0.1))
+
+
+def test_grids_share_read_only_increments(monkeypatch):
+    obs = simulate_observations(vm.Sinusoid(1.0, 0.5, 1, 0.0), 4096, 0.1, 17)
+    grids = [BlockGrid(K=640, J=1, eps=obs.eps()), BlockGrid(K=20, J=64, eps=obs.eps())]
+    seen, real = [], _kernels.block_sums
+
+    def recording(dY, K, J):
+        seen.append(dY)
+        return real(dY, K, J)
+
+    monkeypatch.setattr(_kernels, "block_sums", recording)
+    got = [block_coefficients(obs, grid).y for grid in grids]
+    assert seen[0] is seen[1] and not seen[0].flags.writeable
+    with pytest.raises(ValueError):
+        seen[0][0] = 0.0
+    # the same bytes as the transform of a fresh diff of the record
+    fresh = np.diff(obs.values, prepend=0.0)
+    for grid, y in zip(grids, got):
+        assert y.tobytes() == real(fresh, grid.K, grid.J).tobytes()
 
 
 def test_discrete_variance_matches_oracle_law():
