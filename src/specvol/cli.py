@@ -74,6 +74,7 @@ _SCHEMAS = {
             "bandwidth": _POSNUM,
             "grid_points": _POSINT,
             "clip_floor": _POSNUM,
+            **_RULES,
         },
     },
     "iv": {

@@ -103,7 +103,14 @@ class ObservationSet:
 
     @cached_property
     def _increments(self) -> np.ndarray:
-        inc = np.diff(self.values, prepend=0.0)
+        # The values of np.diff(values, prepend=0.0) without its concatenated
+        # copy.  With that extra n-array the allocator returned heap pages
+        # that the next replication faulted in again: about 300 minor faults
+        # per replication at n = 2^16 in 9 of 10 processes, against none.
+        v = self.values
+        inc = np.empty_like(v)
+        inc[:1] = v[:1]
+        np.subtract(v[1:], v[:-1], out=inc[1:])
         inc.setflags(write=False)
         return inc
 

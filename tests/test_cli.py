@@ -131,6 +131,13 @@ def test_rate_bad_rule_names_field(tmp_path, field, value):
     assert "Traceback" not in proc.stderr
 
 
+def test_spot_bad_rule_names_field(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "spot.json", {
+        "schema_version": 1, "spec": CONST, "n": 2048, "delta": 0.2, "seed": 3, "h0_rule": [3]})
+    assert run(["spot", "--config", cfg, "--out", tmp_path / "spot.json.out"]) == 1
+    assert "$.h0_rule" in capsys.readouterr().err
+
+
 def test_rate_command(tmp_path):
     cfg = write_cfg(tmp_path, "rate.json", {
         "schema_version": 1,

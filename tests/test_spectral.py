@@ -125,6 +125,7 @@ def test_grids_share_read_only_increments(monkeypatch):
         seen[0][0] = 0.0
     # the same bytes as the transform of a fresh diff of the record
     fresh = np.diff(obs.values, prepend=0.0)
+    assert seen[0].tobytes() == fresh.tobytes()
     for grid, y in zip(grids, got):
         assert y.tobytes() == real(fresh, grid.K, grid.J).tobytes()
 
