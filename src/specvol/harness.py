@@ -146,6 +146,13 @@ def _run_replication(cfg: ExperimentConfig, index: int) -> ReplicationResult:
         return ReplicationResult(index=index, error=f"{type(exc).__name__}: {exc}")
 
 
+def _replicate(cfg: ExperimentConfig, index: int) -> ReplicationResult:
+    # A pool pickles this function by name and the worker looks up
+    # _run_replication when it calls it, so a wrapper of _run_replication
+    # installed before the fork (a tracer, a test) runs in the workers too.
+    return _run_replication(cfg, index)
+
+
 def _prepare(cfgs) -> None:
     """Build the cached state the replications of cfgs read, with the arguments
     the layers pass, so that workers forked afterwards inherit it.  The largest
@@ -234,7 +241,7 @@ def run_iv_mc(cfg: ExperimentConfig) -> MCReport:
 
 def _iv_mc(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> MCReport:
     start = time.perf_counter()
-    run = partial(_run_replication, cfg)
+    run = partial(_replicate, cfg)
     indices = range(cfg.replications)
     if pool is None:
         results = list(map(run, indices))

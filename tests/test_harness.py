@@ -1,4 +1,5 @@
 import multiprocessing
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,23 @@ def test_rate_regression_pool_matches_serial():
     assert without_wall(pooled.summaries) == without_wall(serial.summaries)
     assert (pooled.iv_rmse, pooled.spot_sup) == (serial.iv_rmse, serial.spot_sup)
     assert (pooled.iv_slope, pooled.spot_slope) == (serial.iv_slope, serial.spot_slope)
+
+
+def test_pool_tasks_name_the_replication(monkeypatch):
+    # A tracer replaces _run_replication with a local function, which cannot
+    # be pickled: a pool task must name a module function that looks it up.
+    real = harness._run_replication
+
+    def marked(cfg, index):
+        return replace(real(cfg, index), spot_sup_error=-1.0)
+
+    class PicklingPool:  # sends each task through pickle, as a process pool does
+        def map(self, fn, items, chunksize):
+            return map(pickle.loads(pickle.dumps(fn)), items)
+
+    monkeypatch.setattr(harness, "_run_replication", marked)
+    report = harness._iv_mc(small_cfg(replications=4, parallelism=2), PicklingPool())
+    assert report.spot_sup_errors == (-1.0,) * 4
 
 
 def counting_pools(monkeypatch):
