@@ -1,7 +1,16 @@
 """Command-line entry point: JSON configs in, CSV/JSON results out.
 
+Each command reads its config against a table of the fields it accepts.  A
+malformed file, a missing or unknown field, or a value of the wrong type or
+range ends the run before any work, with a message that names the field's
+JSON path.  The spot, iv, mc-iv and rate commands build their
+harness.ExperimentConfig with ExperimentConfig.from_mapping, so their
+defaults are those of the dataclass.
+
 Exit codes: 0 success, 1 config or validation error (the message names the
-offending field or parse location), 2 acceptance-threshold failure.
+offending field or parse location) or a file that cannot be read or written
+(the message names the path), 2 acceptance-threshold failure, 3 more than 1%
+of the Monte Carlo replications failed (the message gives the first failure).
 """
 
 from __future__ import annotations
@@ -11,204 +20,124 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import equivalence, estimators, fisher, harness, simulate, spectral, volmodel
+from .harness import ConfigError, _is_integer, _is_positive
 
 SCHEMA_VERSION = 1
 
-_SPEC_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {"kind": {"enum": ["constant", "piecewise_constant", "sinusoid", "oscillating"]}},
-}
 
-_POSINT = {"type": "integer", "minimum": 1}
-_POSNUM = {"type": "number", "exclusiveMinimum": 0}
+# A field check takes a JSON value and its path.  It returns the value the
+# command reads, or raises ConfigError naming the path.
 
-# design rules: a fixed value or the name of the rule (see harness.resolve_design)
-_RULES = {
-    "h0_rule": {"oneOf": [_POSNUM, {"const": "log"}]},
-    "J_rule": {"oneOf": [_POSINT, {"const": "loglog"}]},
-    "bandwidth_rule": {"oneOf": [{"type": "number"}, {"const": "rate"}]},
-}
-
-_SCHEMAS = {
-    "simulate": {
-        "type": "object",
-        "required": ["schema_version", "spec", "n", "delta", "seed"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "spec": _SPEC_SCHEMA,
-            "n": _POSINT,
-            "delta": {"type": "number", "minimum": 0},
-            "seed": {"type": "integer"},
-        },
-    },
-    "spectral": {
-        "type": "object",
-        "required": ["schema_version", "spec", "n", "delta", "seed", "h0", "J"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "spec": _SPEC_SCHEMA,
-            "n": _POSINT,
-            "delta": _POSNUM,
-            "seed": {"type": "integer"},
-            "h0": _POSNUM,
-            "J": _POSINT,
-        },
-    },
-    "spot": {
-        "type": "object",
-        "required": ["schema_version", "spec", "n", "delta", "seed"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "spec": _SPEC_SCHEMA,
-            "n": _POSINT,
-            "delta": _POSNUM,
-            "seed": {"type": "integer"},
-            "bandwidth": _POSNUM,
-            "grid_points": _POSINT,
-            "clip_floor": _POSNUM,
-            **_RULES,
-        },
-    },
-    "iv": {
-        "type": "object",
-        "required": ["schema_version", "spec", "n", "delta", "seed"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "spec": _SPEC_SCHEMA,
-            "n": _POSINT,
-            "delta": _POSNUM,
-            "seed": {"type": "integer"},
-            **_RULES,
-            "noise_convention": {"enum": ["eps2", "literal"]},
-        },
-    },
-    "mc-iv": {
-        "type": "object",
-        "required": ["schema_version", "spec", "n", "delta", "replications", "master_seed"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "spec": _SPEC_SCHEMA,
-            "n": _POSINT,
-            "delta": _POSNUM,
-            "replications": _POSINT,
-            "master_seed": {"type": "integer"},
-            **_RULES,
-            "bandwidth_scale": _POSNUM,
-            "parallelism": _POSINT,
-            "clip_floor": _POSNUM,
-            "noise_convention": {"enum": ["eps2", "literal"]},
-            "per_replication_csv": {"type": "string"},
-            "acceptance": {
-                "type": "object",
-                "properties": {
-                    "variance_rtol": _POSNUM,
-                    "check_ks": {"type": "boolean"},
-                },
-            },
-        },
-    },
-    "rate": {
-        "type": "object",
-        "required": ["schema_version", "base", "n_list"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "base": {
-                "type": "object",
-                "required": ["spec", "delta", "replications", "master_seed"],
-                "properties": {
-                    "spec": _SPEC_SCHEMA,
-                    "delta": _POSNUM,
-                    "replications": _POSINT,
-                    "master_seed": {"type": "integer"},
-                    **_RULES,
-                },
-            },
-            "n_list": {"type": "array", "items": _POSINT, "minItems": 4},
-            "acceptance": {
-                "type": "object",
-                "properties": {
-                    "iv_slope_range": {"type": "array", "items": {"type": "number"}},
-                    "spot_slope_range": {"type": "array", "items": {"type": "number"}},
-                },
-            },
-        },
-    },
-    "fisher": {
-        "type": "object",
-        "required": ["schema_version", "thetas", "h0s"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "thetas": {"type": "array", "items": _POSNUM, "minItems": 1},
-            "h0s": {"type": "array", "items": _POSNUM, "minItems": 1},
-            "jmax": _POSINT,
-        },
-    },
-    "hellinger": {
-        "type": "object",
-        "required": ["schema_version", "dim", "trials", "seed"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "dim": _POSINT,
-            "trials": _POSINT,
-            "seed": {"type": "integer"},
-            "perturbation": _POSNUM,
-        },
-    },
-    "decay": {
-        "type": "object",
-        "required": ["schema_version", "spec", "delta", "n_list"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "spec": _SPEC_SCHEMA,
-            "delta": _POSNUM,
-            "n_list": {"type": "array", "items": _POSINT, "minItems": 2},
-        },
-    },
-    "counterexample": {
-        "type": "object",
-        "required": ["schema_version", "n_list", "ks_samples", "seed"],
-        "properties": {
-            "schema_version": {"const": SCHEMA_VERSION},
-            "n_list": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
-            "ks_samples": _POSINT,
-            "seed": {"type": "integer"},
-        },
-    },
-}
+def _check(ok, want):
+    def check(value, path):
+        if not ok(value):
+            raise ConfigError(path, f"must be {want}, got {value!r}")
+        return value
+    return check
 
 
-class ConfigError(Exception):
-    pass
+def _integer(least, below=np.inf, want=None):
+    return _check(lambda v: _is_integer(v, least, below), want or f"an integer >= {least}")
 
 
-def _load_config(path: str, command: str) -> dict:
+_COUNT = _integer(1)
+_POSITIVE = _check(_is_positive, "a positive number")
+_SEED = _integer(0, 2 ** 64, "an integer in [0, 2^64)")     # the seeds simulate.rng_for takes
+_VERSION = (_check(lambda v: v == SCHEMA_VERSION and _is_integer(v), str(SCHEMA_VERSION)), True)
+
+
+def _list(item, least, most=None):
+    want = f"a list of {least} items" if most == least else f"a list of at least {least} items"
+
+    def check(value, path):
+        if not isinstance(value, list) or not least <= len(value) <= (most or len(value)):
+            raise ConfigError(path, f"must be {want}, got {value!r}")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+def _object(table):
+    """Check a JSON object against a table of field name -> (check, required).
+    A check of None passes the value on: ExperimentConfig checks it."""
+    def check(value, path):
+        if not isinstance(value, dict):
+            raise ConfigError(path, f"must be an object, got {value!r}")
+        for key in value:
+            if key not in table:
+                raise ConfigError(f"{path}.{key}", "unknown field")
+        out = {}
+        for key, (field_check, required) in table.items():
+            if key in value:
+                out[key] = value[key] if field_check is None else field_check(value[key], f"{path}.{key}")
+            elif required:
+                raise ConfigError(f"{path}.{key}", "required field missing")
+        return out
+    return check
+
+
+def _spec(value, path):
+    """A volatility curve in volmodel.spec_from_json form, parsed."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"must be an object, got {value!r}")
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+        spec = volmodel.spec_from_json(value)
+    except KeyError as exc:
+        raise ConfigError(f"{path}.{exc.args[0]}", "required field missing") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from None
+    unknown = sorted(set(value) - set(volmodel.spec_to_json(spec)))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown field")
+    return spec
+
+
+_COMMANDS = {}   # command name -> (config reader, run(data, out, threads) -> exit code)
+
+
+def _command(name, **table):
+    """Register the decorated function as command name.  Its config holds
+    schema_version and the fields of table: field name -> (check, required)."""
+    def register(run):
+        _COMMANDS[name] = (_object({"schema_version": _VERSION, **table}), run)
+        return run
+    return register
+
+
+_DESIGN = {  # the optional design fields of an ExperimentConfig
+    name: (None, False) for name in
+    ("h0_rule", "J_rule", "bandwidth_rule", "bandwidth_scale", "clip_floor", "noise_convention")
+}
+_ONE_RECORD = {"spec": (_spec, True), "n": (None, True), "delta": (None, True),
+               "seed": (_SEED, True), **_DESIGN}
+_SLOPE_RANGE = (_list(_check(lambda v: _is_integer(v) or isinstance(v, float), "a number"), 2, 2),
+                False)
+_CONFIG_FIELDS = {f.name for f in fields(harness.ExperimentConfig)}
+
+
+def _load_config(path: str, command: str, seed=None) -> dict:
+    """The checked fields of a config file.  seed, when given, replaces the
+    config's seed (the master seed of mc-iv and rate) before the check."""
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    validator = jsonschema.Draft202012Validator(_SCHEMAS[command])
-    errors = sorted(validator.iter_errors(data), key=lambda e: e.json_path)
-    if errors:
-        err = errors[0]
-        raise ConfigError(f"config field {err.json_path}: {err.message}")
-    try:
-        if "spec" in data:
-            data["spec"] = volmodel.spec_from_json(data["spec"])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"config field $.spec: {exc}") from None
-    return data
+        raise ValueError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    if seed is not None and command not in ("fisher", "decay") and isinstance(data, dict):
+        target = data.get("base") if command == "rate" else data
+        if isinstance(target, dict):
+            target["master_seed" if command in ("mc-iv", "rate") else "seed"] = seed
+    return _COMMANDS[command][0](data, "$")
+
+
+def _experiment(data, path="$", **given) -> harness.ExperimentConfig:
+    """The ExperimentConfig of the config fields in data plus the given ones."""
+    mapping = {key: value for key, value in data.items() if key in _CONFIG_FIELDS}
+    return harness.ExperimentConfig.from_mapping({**mapping, **given}, path)
 
 
 def _write_json(path, payload) -> None:
@@ -222,50 +151,28 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _experiment_config(data: dict, threads: int, seed_override) -> harness.ExperimentConfig:
-    return harness.ExperimentConfig(
-        spec=data["spec"],
-        n=data["n"],
-        delta=data["delta"],
-        replications=data["replications"],
-        h0_rule=data.get("h0_rule", "log"),
-        J_rule=data.get("J_rule", "loglog"),
-        bandwidth_rule=data.get("bandwidth_rule", "rate"),
-        bandwidth_scale=data.get("bandwidth_scale", 1.0),
-        master_seed=seed_override if seed_override is not None else data["master_seed"],
-        parallelism=threads,
-        clip_floor=data.get("clip_floor", 1e-4),
-        noise_convention=data.get("noise_convention", "eps2"),
-    )
+def _verdict(payload, acceptance, checks) -> int:
+    """Exit code 2 when an acceptance check fails.  The checks go into
+    payload when the config has an acceptance block."""
+    if acceptance:
+        payload["acceptance"] = checks
+    return 0 if all(checks.values()) else 2
 
 
-def _cmd_simulate(data, out, seed, threads) -> int:
-    if seed is not None:
-        data["seed"] = seed
+@_command("simulate", spec=(_spec, True), n=(_COUNT, True),
+          delta=(_check(lambda v: _is_positive(v) or (v == 0 and not isinstance(v, bool)), "a number >= 0"),
+                 True),
+          seed=(_SEED, True))
+def _cmd_simulate(data, out, threads) -> int:
     obs = simulate.simulate_observations(data["spec"], data["n"], data["delta"], data["seed"])
     simulate.save_observations(obs, out)
     print(f"simulate: wrote {data['n']} observations to {out} (delta={data['delta']}, seed={data['seed']})")
     return 0
 
 
-def _single_run(data, seed):
-    if seed is not None:
-        data["seed"] = seed
-    cfg = harness.ExperimentConfig(
-        spec=data["spec"], n=data["n"], delta=data["delta"], replications=1,
-        h0_rule=data.get("h0_rule", "log"), J_rule=data.get("J_rule", "loglog"),
-        bandwidth_rule=data.get("bandwidth_rule", "rate"),
-        bandwidth_scale=data.get("bandwidth_scale", 1.0),
-        master_seed=data["seed"],
-        clip_floor=data.get("clip_floor", 1e-4),
-        noise_convention=data.get("noise_convention", "eps2"),
-    )
-    return cfg, harness.resolve_design(cfg)
-
-
-def _cmd_spectral(data, out, seed, threads) -> int:
-    if seed is not None:
-        data["seed"] = seed
+@_command("spectral", spec=(_spec, True), n=(_COUNT, True), delta=(_POSITIVE, True),
+          seed=(_SEED, True), h0=(_POSITIVE, True), J=(_COUNT, True))
+def _cmd_spectral(data, out, threads) -> int:
     obs = simulate.simulate_observations(data["spec"], data["n"], data["delta"], data["seed"])
     grid = simulate.BlockGrid.from_h0(data["n"], data["delta"], data["h0"], data["J"])
     coeffs = spectral.block_coefficients(obs, grid)
@@ -274,89 +181,83 @@ def _cmd_spectral(data, out, seed, threads) -> int:
     return 0
 
 
-def _cmd_spot(data, out, seed, threads) -> int:
-    cfg, design = _single_run(data, seed)
-    obs = simulate.simulate_observations(cfg.spec, cfg.n, cfg.delta, cfg.master_seed)
+def _one_record(data):
+    """Config, design and record of a spot or iv config.  Its seed keys the
+    record's stream directly, so it is not the config's master seed."""
+    cfg = _experiment(data, replications=1)
+    obs = simulate.simulate_observations(cfg.spec, cfg.n, cfg.delta, data["seed"])
+    return cfg, harness.resolve_design(cfg), obs
+
+
+@_command("spot", **_ONE_RECORD, bandwidth=(_POSITIVE, False), grid_points=(_COUNT, False))
+def _cmd_spot(data, out, threads) -> int:
+    cfg, design, obs = _one_record(data)
     coeffs = spectral.block_coefficients(obs, design.spot_grid)
     b = data.get("bandwidth", design.bandwidth)
-    t_grid = np.linspace(0.0, 1.0, data.get("grid_points", 257))
+    t_grid = np.linspace(0.0, 1.0, data.get("grid_points", cfg.spot_eval_points))
     curve = estimators.spot_estimate(coeffs, cfg.n, cfg.delta, b, t_grid, cfg.clip_floor)
     _write_json(out, {
         "t": curve.grid_points.tolist(),
         "estimate": curve.estimates.tolist(),
         "bandwidth": curve.bandwidth,
         "clip_floor": curve.clip_floor,
-        "n": cfg.n, "delta": cfg.delta, "seed": cfg.master_seed,
+        "n": cfg.n, "delta": cfg.delta, "seed": data["seed"],
     })
     print(f"spot: wrote {t_grid.size}-point curve to {out} (bandwidth={b:.4f})")
     return 0
 
 
-def _cmd_iv(data, out, seed, threads) -> int:
-    cfg, design = _single_run(data, seed)
-    obs = simulate.simulate_observations(cfg.spec, cfg.n, cfg.delta, cfg.master_seed)
-    spot_coeffs = spectral.block_coefficients(obs, design.spot_grid)
-    spot = estimators.spot_estimate(
-        spot_coeffs, cfg.n, cfg.delta, design.bandwidth, design.block_positions, cfg.clip_floor
-    )
-    main = spectral.block_coefficients(obs, design.main_grid)
-    est = estimators.integrated_volatility_estimate(
-        main, spot, design.main_grid, cfg.delta, cfg.n,
-        true_spec=cfg.spec, noise_convention=cfg.noise_convention,
-    )
+@_command("iv", **_ONE_RECORD)
+def _cmd_iv(data, out, threads) -> int:
+    cfg, design, obs = _one_record(data)
+    est, _ = harness.estimate_iv(cfg, design, obs)
     _write_json(out, {
         "value": est.value, "avar_hat": est.avar_hat, "target": est.target,
         "n": cfg.n, "delta": cfg.delta, "h0": design.main_grid.h0,
-        "J": est.J_used, "seed": cfg.master_seed,
+        "J": est.J_used, "seed": data["seed"],
     })
     print(f"iv: estimate {est.value:.6f} (target {est.target:.6f}) written to {out}")
     return 0
 
 
-def _report_payload(report: harness.MCReport) -> dict:
-    cfg = report.config
-    payload = asdict(cfg)
-    payload["spec"] = volmodel.spec_to_json(cfg.spec)
-    return {"config": payload, "summary": report.summary, "failures": list(report.failures)}
-
-
-def _cmd_mc_iv(data, out, seed, threads) -> int:
-    cfg = _experiment_config(data, threads, seed)
+@_command("mc-iv", spec=(_spec, True), n=(None, True), delta=(None, True),
+          replications=(None, True), master_seed=(None, True), **_DESIGN,
+          per_replication_csv=(_check(lambda v: isinstance(v, str), "a string"), False),
+          acceptance=(_object({
+              "variance_rtol": (_POSITIVE, False),
+              "check_ks": (_check(lambda v: isinstance(v, bool), "true or false"), False),
+          }), False))
+def _cmd_mc_iv(data, out, threads) -> int:
+    cfg = _experiment(data, parallelism=threads)
     report = harness.run_iv_mc(cfg)
-    payload = _report_payload(report)
-    rc = 0
-    acceptance = data.get("acceptance")
-    if acceptance:
-        checks = {}
-        rtol = acceptance.get("variance_rtol")
-        if rtol is not None:
-            ratio = report.summary["variance_ratio"]
-            checks["variance"] = bool(abs(ratio - 1.0) <= rtol)
-        if acceptance.get("check_ks"):
-            ok, diag = harness.normality_check(report)
-            checks["ks"] = bool(ok)
-        payload["acceptance"] = checks
-        if not all(checks.values()):
-            rc = 2
+    config = dict(asdict(cfg), spec=volmodel.spec_to_json(cfg.spec))
+    payload = {"config": config, "summary": report.summary, "failures": list(report.failures)}
+    acceptance = data.get("acceptance", {})
+    checks = {}
+    if "variance_rtol" in acceptance:
+        checks["variance"] = bool(abs(report.summary["variance_ratio"] - 1.0) <= acceptance["variance_rtol"])
+    if acceptance.get("check_ks"):
+        checks["ks"] = bool(harness.normality_check(report)[0])
+    rc = _verdict(payload, acceptance, checks)
     _write_json(out, payload)
     if data.get("per_replication_csv"):
-        _write_csv(
-            data["per_replication_csv"], ["index", "iv_value", "avar_hat", "spot_sup_error"],
-            [(i, v, a, s) for i, (v, a, s) in enumerate(
-                zip(report.iv_values, report.avar_hats, report.spot_sup_errors))],
-        )
-    print(
-        f"mc-iv: M={report.summary['replications']} variance_ratio="
-        f"{report.summary['variance_ratio']:.4f} ks={report.summary['ks_statistic']:.4f} -> {out}"
-    )
+        rows = zip(range(len(report.iv_values)), report.iv_values, report.avar_hats, report.spot_sup_errors)
+        _write_csv(data["per_replication_csv"], ["index", "iv_value", "avar_hat", "spot_sup_error"], rows)
+    summary = report.summary
+    print(f"mc-iv: M={summary['replications']} variance_ratio={summary['variance_ratio']:.4f} "
+          f"ks={summary['ks_statistic']:.4f} -> {out}")
     return rc
 
 
-def _cmd_rate(data, out, seed, threads) -> int:
-    base = dict(data["base"])
-    base["spec"] = volmodel.spec_from_json(base["spec"])
-    base.setdefault("n", int(data["n_list"][0]))
-    cfg = _experiment_config(base, threads, seed)
+@_command("rate", base=(_object({
+              "spec": (_spec, True), "delta": (None, True), "replications": (None, True),
+              "master_seed": (None, True), **_DESIGN,
+          }), True),
+          n_list=(_list(_integer(harness.MIN_N), 4), True),
+          acceptance=(_object({"iv_slope_range": _SLOPE_RANGE, "spot_slope_range": _SLOPE_RANGE}),
+                      False))
+def _cmd_rate(data, out, threads) -> int:
+    cfg = _experiment(data["base"], "$.base", n=data["n_list"][0], parallelism=threads)
     report = harness.run_rate_regression(cfg, data["n_list"])
     payload = {
         "n_values": list(report.n_values),
@@ -365,25 +266,21 @@ def _cmd_rate(data, out, seed, threads) -> int:
         "iv_slope": report.iv_slope,
         "spot_slope": report.spot_slope,
     }
-    rc = 0
-    acceptance = data.get("acceptance")
-    if acceptance:
-        checks = {}
-        if "iv_slope_range" in acceptance:
-            lo, hi = acceptance["iv_slope_range"]
-            checks["iv_slope"] = bool(lo <= report.iv_slope <= hi)
-        if "spot_slope_range" in acceptance:
-            lo, hi = acceptance["spot_slope_range"]
-            checks["spot_slope"] = bool(lo <= report.spot_slope <= hi)
-        payload["acceptance"] = checks
-        if not all(checks.values()):
-            rc = 2
+    acceptance = data.get("acceptance", {})
+    checks = {}
+    for slope in ("iv_slope", "spot_slope"):
+        if f"{slope}_range" in acceptance:
+            lo, hi = acceptance[f"{slope}_range"]
+            checks[slope] = bool(lo <= payload[slope] <= hi)
+    rc = _verdict(payload, acceptance, checks)
     _write_json(out, payload)
     print(f"rate: iv_slope={report.iv_slope:.4f} spot_slope={report.spot_slope:.4f} -> {out}")
     return rc
 
 
-def _cmd_fisher(data, out, seed, threads) -> int:
+@_command("fisher", thetas=(_list(_POSITIVE, 1), True), h0s=(_list(_POSITIVE, 1), True),
+          jmax=(_COUNT, False))
+def _cmd_fisher(data, out, threads) -> int:
     jmax = data.get("jmax", 10 ** 6)
     rows = []
     worst = 0.0
@@ -399,62 +296,58 @@ def _cmd_fisher(data, out, seed, threads) -> int:
     return 0
 
 
-def _cmd_hellinger(data, out, seed, threads) -> int:
+@_command("hellinger", dim=(_COUNT, True), trials=(_COUNT, True), seed=(_SEED, True),
+          perturbation=(_POSITIVE, False))
+def _cmd_hellinger(data, out, threads) -> int:
     dim = data["dim"]
     trials = data["trials"]
     size = data.get("perturbation", 0.05)
-    rng = simulate.rng_for(seed if seed is not None else data["seed"])
+    rng = simulate.rng_for(data["seed"])
     rows = []
-    all_ok = True
     for trial in range(trials):
         base = rng.standard_normal((dim, dim))
         cov1 = base @ base.T + dim * np.eye(dim)
         sym = rng.standard_normal((dim, dim))
         bump = size * (sym + sym.T)
         pure_cov = trial % 2 == 0
+        p = equivalence.GaussianLaw(np.zeros(dim), cov1)
         if pure_cov:
-            p = equivalence.GaussianLaw(np.zeros(dim), cov1)
             q = equivalence.GaussianLaw(np.zeros(dim), cov1 + bump)
         else:
-            mu = size * rng.standard_normal(dim)
-            p = equivalence.GaussianLaw(np.zeros(dim), cov1)
-            q = equivalence.GaussianLaw(mu, cov1)
+            q = equivalence.GaussianLaw(size * rng.standard_normal(dim), cov1)
         h2 = equivalence.hellinger_exact(p, q) ** 2
         bound = equivalence.hellinger_upper_bound(p, q)
-        ok = bound >= h2
-        all_ok = all_ok and ok
-        rows.append((trial, "cov" if pure_cov else "mean", repr(float(h2)), repr(float(bound)), ok))
+        rows.append((trial, "cov" if pure_cov else "mean", repr(float(h2)), repr(float(bound)), bound >= h2))
+    all_ok = all(row[-1] for row in rows)
     _write_csv(out, ["trial", "kind", "h2_exact", "bound", "dominated"], rows)
     print(f"hellinger: {trials} trials, domination {'holds' if all_ok else 'VIOLATED'} -> {out}")
     return 0 if all_ok else 2
 
 
-def _cmd_decay(data, out, seed, threads) -> int:
+@_command("decay", spec=(_spec, True), delta=(_POSITIVE, True), n_list=(_list(_COUNT, 2), True))
+def _cmd_decay(data, out, threads) -> int:
     result = equivalence.hellinger_decay(data["spec"], data["delta"], data["n_list"])
     rows = []
     for i, (n, h2, bound) in enumerate(
         zip(result.n_values, result.h2_values, result.bound_values)
     ):
-        if i >= 1:
-            slope_so_far = float(np.polyfit(
-                np.log(result.n_values[: i + 1]), np.log(result.h2_values[: i + 1]), 1
-            )[0])
-        else:
-            slope_so_far = float("nan")
+        slope_so_far = float("nan") if i == 0 else float(np.polyfit(
+            np.log(result.n_values[: i + 1]), np.log(result.h2_values[: i + 1]), 1)[0])
         rows.append((n, repr(float(h2)), repr(float(bound)), slope_so_far))
     _write_csv(out, ["n", "H2", "bound", "slope_so_far"], rows)
     print(f"decay: slope {result.slope:.3f} over n={list(result.n_values)} -> {out}")
     return 0
 
 
-def _cmd_counterexample(data, out, seed, threads) -> int:
+# the flat path is drawn with seed + 1, which must stay a seed too
+@_command("counterexample", n_list=(_list(_integer(2), 1), True), ks_samples=(_COUNT, True),
+          seed=(_integer(0, 2 ** 64 - 1, "an integer in [0, 2^64 - 1)"), True))
+def _cmd_counterexample(data, out, threads) -> int:
     gaps = {n: equivalence.oscillating_gap(n) for n in data["n_list"]}
     m = data["ks_samples"]
-    use_seed = seed if seed is not None else data["seed"]
-    n_osc = max(data["n_list"])
-    n_path = max(n_osc, m)
-    obs_osc = simulate.simulate_observations(volmodel.Oscillating(n_path), n_path, 0.0, use_seed)
-    obs_flat = simulate.simulate_observations(volmodel.Constant(1.0), n_path, 0.0, use_seed + 1)
+    n_path = max(max(data["n_list"]), m)
+    obs_osc = simulate.simulate_observations(volmodel.Oscillating(n_path), n_path, 0.0, data["seed"])
+    obs_flat = simulate.simulate_observations(volmodel.Constant(1.0), n_path, 0.0, data["seed"] + 1)
     from scipy.stats import ks_2samp
 
     ks = ks_2samp(obs_osc.increments()[:m], obs_flat.increments()[:m])
@@ -471,20 +364,6 @@ def _cmd_counterexample(data, out, seed, threads) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "spectral": _cmd_spectral,
-    "spot": _cmd_spot,
-    "iv": _cmd_iv,
-    "mc-iv": _cmd_mc_iv,
-    "rate": _cmd_rate,
-    "fisher": _cmd_fisher,
-    "hellinger": _cmd_hellinger,
-    "decay": _cmd_decay,
-    "counterexample": _cmd_counterexample,
-}
-
-
 def dispatch(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="specvol",
@@ -499,17 +378,16 @@ def dispatch(argv) -> int:
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes (fallback: SPECVOL_THREADS)")
     args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SPECVOL_THREADS", "1"))
     try:
-        data = _load_config(args.config, args.command)
-    except ConfigError as exc:
+        threads = args.threads
+        if threads is None:
+            threads = int(os.environ.get("SPECVOL_THREADS", "1"))
+        data = _load_config(args.config, args.command, args.seed)
+        return _COMMANDS[args.command][1](data, args.out, threads)
+    except harness.TooManyFailuresError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _COMMANDS[args.command](data, args.out, args.seed, threads)
-    except (ValueError, simulate.ConfigurationError) as exc:
+        return 3
+    except (OSError, ValueError) as exc:   # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -129,17 +129,6 @@ def spot_estimate(
     )
 
 
-def frequency_weights(sigma2_at_block: float, h0: float, j: int, J: int) -> float:
-    """Weight of frequency j among 1..J for a block at variance level sigma2."""
-    if not sigma2_at_block > 0:
-        raise ValueError(f"variance level must be positive, got {sigma2_at_block}")
-    if not 1 <= j <= J:
-        raise ValueError(f"need 1 <= j <= J, got j={j}, J={J}")
-    ls = np.arange(1, J + 1, dtype=np.float64)
-    inv = (sigma2_at_block + np.pi ** 2 * ls ** 2 / h0 ** 2) ** -2.0
-    return float(inv[j - 1] / inv.sum())
-
-
 def frequency_weight_matrix(sigma2_blocks: np.ndarray, h0: float, J: int) -> np.ndarray:
     """(J, K) weight matrix over frequencies for each block's variance level."""
     sigma2_blocks = np.asarray(sigma2_blocks, dtype=np.float64)

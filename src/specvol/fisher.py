@@ -79,12 +79,8 @@ def block_information(theta: float, h0: float) -> float:
     """
     q = FisherQuery(theta=theta, h0=h0)
     lam = np.sqrt(q.theta) * q.h0
-    if lam < _SERIES_CUTOFF:
-        return float((q.h0 ** 4 / 2.0) * lam ** -3 * _series_small(lam))
-    d = -np.expm1(-2.0 * lam)
-    e2 = np.exp(-2.0 * lam)
-    bracket = (1.0 + 4.0 * lam * e2 - e2 * e2) / (d * d) - 2.0 / lam
-    return float(q.h0 / (8.0 * q.theta ** 1.5) * bracket)
+    # theta + pi^2 j^2 / h0^2 = (lam^2 + pi^2 j^2) / h0^2
+    return float(q.h0 ** 4 / (2.0 * lam ** 3) * scale_series_closed(lam))
 
 
 def block_information_partial(theta: float, h0: float, jmax: int = 10 ** 6) -> float:

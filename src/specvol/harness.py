@@ -15,6 +15,7 @@ the workers inherit it instead of building it on their first replication.
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import time
 from contextlib import contextmanager, suppress
 from concurrent.futures import ProcessPoolExecutor
@@ -26,11 +27,30 @@ import numpy as np
 
 from . import _kernels, volmodel
 from .estimators import integrated_volatility_estimate, spot_estimate
-from .simulate import BlockGrid, _increment_sd, simulate_observations
+from .simulate import BlockGrid, ObservationSet, _increment_sd, simulate_observations
 from .spectral import block_coefficients
 from .volmodel import VolatilitySpec
 
 KS_CRITICAL_COEF = 1.63  # level-0.01 coefficient: reject when KS > 1.63/sqrt(M)
+
+
+MIN_N = 16  # the least number of observations a config may ask for
+
+
+class ConfigError(ValueError):
+    """A bad config field; field is its name or JSON path."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"config field {field}: {problem}")
+        self.field, self.problem = field, problem
+
+
+def _is_integer(value, least=-np.inf, below=np.inf) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and least <= value < below
+
+
+def _is_positive(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value > 0
 
 
 @dataclass(frozen=True)
@@ -50,18 +70,34 @@ class ExperimentConfig:
     spot_eval_points: int = 257
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if self.n < 16:
-            raise ValueError("n must be >= 16")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if not 0 <= self.master_seed < 2 ** 32:
-            # replication_seed shifts it left by 32 bits and rng_for keeps 64,
-            # so a larger seed would replay the streams of a smaller one
-            raise ValueError(f"master_seed must be in [0, 2^32), got {self.master_seed}")
+        checks = (
+            ("n", _is_integer(self.n, MIN_N), f"an integer >= {MIN_N}"),
+            ("delta", _is_positive(self.delta), "a positive number"),
+            ("replications", _is_integer(self.replications, 1), "an integer >= 1"),
+            ("h0_rule", self.h0_rule == "log" or _is_positive(self.h0_rule), 'a positive number or "log"'),
+            ("J_rule", self.J_rule == "loglog" or _is_integer(self.J_rule, 1), 'an integer >= 1 or "loglog"'),
+            ("bandwidth_rule", self.bandwidth_rule == "rate" or _is_positive(self.bandwidth_rule),
+             'a positive number or "rate"'),
+            ("bandwidth_scale", _is_positive(self.bandwidth_scale), "a positive number"),
+            # replication_seed shifts it left by 32 bits into rng_for's 64-bit seed
+            ("master_seed", _is_integer(self.master_seed, 0, 2 ** 32), "an integer in [0, 2^32)"),
+            ("parallelism", _is_integer(self.parallelism, 1), "an integer >= 1"),
+            ("clip_floor", _is_positive(self.clip_floor), "a positive number"),
+            ("noise_convention", self.noise_convention in ("eps2", "literal"), '"eps2" or "literal"'),
+        )
+        for name, ok, want in checks:
+            if not ok:
+                raise ConfigError(name, f"must be {want}, got {getattr(self, name)!r}")
+
+    @classmethod
+    def from_mapping(cls, data, path: str = "$") -> "ExperimentConfig":
+        """The config of a mapping of field names to values, such as a JSON
+        config with its spec parsed; absent fields take the defaults above.
+        A bad field raises ConfigError with its path under path."""
+        try:
+            return cls(**data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{exc.field}", exc.problem) from None
 
 
 @dataclass(frozen=True)
@@ -75,20 +111,14 @@ class ResolvedDesign:
 
 def resolve_design(cfg: ExperimentConfig) -> ResolvedDesign:
     n = cfg.n
-    eps = cfg.delta / np.sqrt(n)
     h0_target = float(np.log(n)) if cfg.h0_rule == "log" else float(cfg.h0_rule)
-    if cfg.J_rule == "loglog":
-        J = int(np.ceil(np.log(n) * np.log(np.log(n))))
-    else:
-        J = int(cfg.J_rule)
-    K = max(2, round(1.0 / (h0_target * eps)))
-    K = min(K, n // 2)
-    J = max(1, min(J, (n // K) // 2))  # resolution cap: stay below the cell count per block
-    main = BlockGrid(K=K, J=J, eps=eps)
-    K_spot = min(max(2, round(1.0 / eps)), n // 2)
-    spot = BlockGrid(K=K_spot, J=1, eps=eps)
+    J = int(np.ceil(np.log(n) * np.log(np.log(n)))) if cfg.J_rule == "loglog" else int(cfg.J_rule)
+    main = BlockGrid.from_h0(n, cfg.delta, h0_target, J)
+    # resolution cap: stay below the cell count per block
+    main = replace(main, J=max(1, min(J, (n // main.K) // 2)))
+    spot = BlockGrid.from_h0(n, cfg.delta, 1.0, 1)  # h = eps
     if cfg.bandwidth_rule == "rate":
-        b = cfg.bandwidth_scale * float((eps * np.log(1.0 / eps)) ** (1.0 / 3.0))
+        b = cfg.bandwidth_scale * float((spot.eps * np.log(1.0 / spot.eps)) ** (1.0 / 3.0))
     else:
         b = float(cfg.bandwidth_rule)
     b = max(b, spot.h)
@@ -96,7 +126,7 @@ def resolve_design(cfg: ExperimentConfig) -> ResolvedDesign:
         main_grid=main,
         spot_grid=spot,
         bandwidth=b,
-        block_positions=np.arange(K) * main.h,
+        block_positions=np.arange(main.K) * main.h,
         eval_positions=np.linspace(0.0, 1.0, cfg.spot_eval_points),
     )
 
@@ -118,20 +148,26 @@ def replication_seed(master_seed: int, index: int) -> int:
     return (int(master_seed) << 32) ^ int(index)
 
 
+def estimate_iv(cfg: ExperimentConfig, design: ResolvedDesign, obs: ObservationSet):
+    """The IV estimate of one record, and the record's spot-grid coefficients."""
+    spot_coeffs = block_coefficients(obs, design.spot_grid)
+    spot_at_blocks = spot_estimate(
+        spot_coeffs, cfg.n, cfg.delta, design.bandwidth,
+        design.block_positions, cfg.clip_floor,
+    )
+    main_coeffs = block_coefficients(obs, design.main_grid)
+    est = integrated_volatility_estimate(
+        main_coeffs, spot_at_blocks, design.main_grid, cfg.delta, cfg.n,
+        true_spec=cfg.spec, noise_convention=cfg.noise_convention,
+    )
+    return est, spot_coeffs
+
+
 def _run_replication(cfg: ExperimentConfig, index: int) -> ReplicationResult:
     design = resolve_design(cfg)
     try:
         obs = simulate_observations(cfg.spec, cfg.n, cfg.delta, replication_seed(cfg.master_seed, index))
-        spot_coeffs = block_coefficients(obs, design.spot_grid)
-        spot_at_blocks = spot_estimate(
-            spot_coeffs, cfg.n, cfg.delta, design.bandwidth,
-            design.block_positions, cfg.clip_floor,
-        )
-        main_coeffs = block_coefficients(obs, design.main_grid)
-        est = integrated_volatility_estimate(
-            main_coeffs, spot_at_blocks, design.main_grid, cfg.delta, cfg.n,
-            true_spec=cfg.spec, noise_convention=cfg.noise_convention,
-        )
+        est, spot_coeffs = estimate_iv(cfg, design, obs)
         spot_eval = spot_estimate(
             spot_coeffs, cfg.n, cfg.delta, design.bandwidth,
             design.eval_positions, cfg.clip_floor,
@@ -197,10 +233,6 @@ class MCReport:
     failures: tuple
     summary: dict
 
-    def recompute_summary(self) -> dict:
-        return summarize(self.config, self.iv_values, self.spot_sup_errors,
-                         len(self.failures), self.summary["wall_time"])
-
 
 def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_time) -> dict:
     from scipy import stats  # deferred: importing it costs 0.2 s
@@ -211,7 +243,7 @@ def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_
     scaled = cfg.n ** 0.25 * (values - target_iv)
     studentized = scaled / np.sqrt(target_avar)
     m = values.size
-    summary = {
+    return {
         "replications": m,
         "failed": int(n_failed),
         "target_iv": target_iv,
@@ -227,7 +259,6 @@ def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_
         "mean_spot_sup_error": float(np.mean(spot_sup_errors)) if len(spot_sup_errors) else float("nan"),
         "wall_time": wall_time,
     }
-    return summary
 
 
 def run_iv_mc(cfg: ExperimentConfig) -> MCReport:

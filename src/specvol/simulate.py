@@ -26,13 +26,14 @@ class ConfigurationError(ValueError):
     """Inconsistent grid / spec combination."""
 
 
-_MASK128 = (1 << 128) - 1
-
-
 def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, stream); streams are independent."""
-    key = ((int(seed) << 64) ^ int(stream)) & _MASK128
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based generator for (seed, stream), both in [0, 2^64).  The
+    128-bit Philox key holds seed in its high and stream in its low 64 bits,
+    so distinct pairs never share a stream."""
+    seed, stream = int(seed), int(stream)
+    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
+        raise ValueError(f"seed and stream must lie in [0, 2^64), got seed={seed}, stream={stream}")
+    return np.random.Generator(np.random.Philox(key=(seed << 64) ^ stream))
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,7 @@ def draw_exact_coefficients(spec: VolatilitySpec, grid: BlockGrid, eps: float, s
     variance h^2 pi^-2 j^-2 sigma^2(kh) + eps^2 per (j, k)."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    s2 = sigma2_on_blocks(spec, grid.K)
-    j = np.arange(1, grid.J + 1, dtype=np.float64)
-    var = (grid.h ** 2 / np.pi ** 2) * np.outer(j ** -2, s2) + eps ** 2
+    var = oracle_variance(spec, grid, eps)
     rng = rng_for(seed)
     y = np.sqrt(var) * rng.standard_normal((grid.J, grid.K))
     return SpectralCoefficients(grid=grid, y=y, source="exact-oracle", eps=float(eps))

@@ -9,7 +9,6 @@ a(1+s) = a(1-s) needed by the symmetrized covariance construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -103,16 +102,6 @@ def sigma_squared(spec: VolatilitySpec, t):
     else:
         raise TypeError(f"not a VolatilitySpec: {spec!r}")
     return out if out.ndim else float(out)
-
-
-def min_sigma_squared(spec: VolatilitySpec) -> float:
-    if isinstance(spec, Constant):
-        return spec.level
-    if isinstance(spec, PiecewiseConstant):
-        return min(spec.values)
-    if isinstance(spec, Sinusoid):
-        return spec.base - abs(spec.amplitude)
-    return 1.0 - spec.n ** (-0.25)
 
 
 def _pc_block_overlaps(spec: PiecewiseConstant, a: float, b: float):
@@ -267,8 +256,6 @@ def spec_to_json(spec: VolatilitySpec) -> dict:
 
 
 def spec_from_json(data) -> VolatilitySpec:
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
         kind = data["kind"]
     except (TypeError, KeyError):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import specvol
+from specvol import cli
 from specvol.cli import dispatch
 
 CONST = {"kind": "constant", "level": 1.0}
@@ -206,3 +207,103 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     s1 = {k: v for k, v in p1["summary"].items() if k != "wall_time"}
     s2 = {k: v for k, v in p2["summary"].items() if k != "wall_time"}
     assert s1 == s2
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    command = "mc-iv" if path.stem.startswith("mc_iv") else path.stem
+    data = cli._load_config(str(path), command)
+    if command in ("spot", "iv", "mc-iv"):
+        cli._experiment(data, replications=1)
+    elif command == "rate":
+        cli._experiment(data["base"], "$.base", n=data["n_list"][0])
+
+
+MC_BASE = {"schema_version": 1, "spec": CONST, "n": 1024, "delta": 0.3,
+           "replications": 4, "master_seed": 4, "h0_rule": 8.0, "J_rule": 16}
+RATE_BASE = {"schema_version": 1, "n_list": [256, 512, 1024, 2048],
+             "base": {"spec": CONST, "delta": 0.5, "replications": 4, "master_seed": 2}}
+
+
+@pytest.mark.parametrize("command,payload,field", [
+    ("rate", dict(RATE_BASE, base=dict(RATE_BASE["base"], spec={"kind": "constant"})),
+     "$.base.spec.level"),
+    ("rate", dict(RATE_BASE, acceptance={"iv_slope_range": [1]}), "$.acceptance.iv_slope_range"),
+    ("rate", dict(RATE_BASE, n_list=[8, 256, 512, 1024]), "$.n_list[0]"),
+    ("mc-iv", dict(MC_BASE, n=8), "$.n"),
+    ("mc-iv", dict(MC_BASE, clip_flor=0.5), "$.clip_flor"),
+    ("mc-iv", dict(MC_BASE, parallelism=2), "$.parallelism"),
+    ("mc-iv", dict(MC_BASE, spec=dict(CONST, lvl=2.0)), "$.spec.lvl"),
+    ("mc-iv", dict(MC_BASE, acceptance={"check_ks": "yes"}), "$.acceptance.check_ks"),
+    ("spot", {"schema_version": 1, "spec": CONST, "n": 2048, "delta": 0.2}, "$.seed"),
+], ids=["rate-missing-level", "slope-range-length", "rate-small-n", "mc-iv-small-n",
+        "unknown-field", "parallelism-field", "unknown-spec-field", "acceptance-type",
+        "missing-field"])
+def test_bad_config_names_path(tmp_path, command, payload, field):
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out.json"])
+    assert proc.returncode == 1
+    assert f"config field {field}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,payload,seed,field", [
+    ("simulate", {"schema_version": 1, "spec": CONST, "n": 64, "delta": 0.1, "seed": -5}, None,
+     "$.seed"),
+    ("simulate", {"schema_version": 1, "spec": CONST, "n": 64, "delta": 0.1, "seed": 5}, 2**64,
+     "$.seed"),
+    ("spectral", {"schema_version": 1, "spec": CONST, "n": 1024, "delta": 0.2, "seed": 5,
+                  "h0": 8.0, "J": 3}, -1, "$.seed"),
+    ("hellinger", {"schema_version": 1, "dim": 3, "trials": 2, "seed": 5 + 2**64}, None, "$.seed"),
+    ("counterexample", {"schema_version": 1, "n_list": [256], "ks_samples": 100, "seed": 1},
+     2**64 - 1, "$.seed"),
+])
+def test_seed_out_of_range(tmp_path, command, payload, seed, field):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    args = [command, "--config", cfg, "--out", tmp_path / "out"]
+    proc = run_cli(args + (["--seed", seed] if seed is not None else []))
+    assert proc.returncode == 1
+    assert f"config field {field}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_largest_seeds_run(tmp_path):
+    sim = write_cfg(tmp_path, "sim.json", {
+        "schema_version": 1, "spec": CONST, "n": 64, "delta": 0.1, "seed": 2**64 - 1})
+    assert run(["simulate", "--config", sim, "--out", tmp_path / "obs.csv"]) == 0
+    ce = write_cfg(tmp_path, "ce.json", {
+        "schema_version": 1, "n_list": [256], "ks_samples": 100, "seed": 2**64 - 2})
+    assert run(["counterexample", "--config", ce, "--out", tmp_path / "ce.json.out"]) == 0
+
+
+def test_too_many_failures_exit_3(tmp_path):
+    # a clip floor of 1e300 zeroes every frequency weight, so every estimate is nan
+    cfg = write_cfg(tmp_path, "mc.json", dict(MC_BASE, clip_floor=1e300))
+    proc = run_cli(["mc-iv", "--config", cfg, "--out", tmp_path / "mc.json.out"])
+    assert proc.returncode == 3
+    assert "4 of 4 replications failed; first: (0," in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("target", ["out", "per_replication_csv"])
+def test_unwritable_output_exit_1(tmp_path, target):
+    missing = tmp_path / "no-such-dir" / "file"
+    reps = missing if target == "per_replication_csv" else tmp_path / "reps.csv"
+    out = missing if target == "out" else tmp_path / "mc.json.out"
+    cfg = write_cfg(tmp_path, "mc.json", dict(MC_BASE, per_replication_csv=str(reps)))
+    proc = run_cli(["mc-iv", "--config", cfg, "--out", out])
+    assert proc.returncode == 1
+    assert str(missing) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_out_jsonschema():
+    src = str(Path(specvol.__file__).parents[1])
+    code = "import sys, specvol.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

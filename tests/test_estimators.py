@@ -121,18 +121,18 @@ def test_spot_clipping():
 # ------------------------------------------------------------------- weights
 
 def test_weight_single_frequency():
-    assert est.frequency_weights(2.0, 5.0, 1, 1) == 1.0
+    assert est.frequency_weight_matrix(np.array([2.0]), 5.0, 1)[0, 0] == 1.0
 
 
 def test_weight_two_frequency_second_path():
     # direct transcription, independent of the library implementation
     u1, u2 = 1.0 + np.pi**2, 1.0 + 4 * np.pi**2
     expect = u1**-2 / (u1**-2 + u2**-2)
-    assert est.frequency_weights(1.0, 1.0, 1, 2) == pytest.approx(expect, rel=1e-14)
+    assert est.frequency_weight_matrix(np.array([1.0]), 1.0, 2)[0, 0] == pytest.approx(expect, rel=1e-14)
 
 
 def test_weights_decreasing_in_j():
-    w = [est.frequency_weights(1.5, 8.0, j, 12) for j in range(1, 13)]
+    w = est.frequency_weight_matrix(np.array([1.5]), 8.0, 12)[:, 0]
     assert all(a > b for a, b in zip(w, w[1:]))
 
 
@@ -149,7 +149,7 @@ def test_weight_normalization(sigma2, h0, J):
 
 def test_weights_require_positive_variance():
     with pytest.raises(ValueError):
-        est.frequency_weights(0.0, 5.0, 1, 3)
+        est.frequency_weight_matrix(np.array([0.0]), 5.0, 3)
     with pytest.raises(ValueError):
         est.frequency_weight_matrix(np.array([1.0, -0.3]), 5.0, 3)
 

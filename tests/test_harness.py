@@ -48,6 +48,26 @@ def test_master_seed_range():
             small_cfg(master_seed=bad)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("h0_rule", [3]), ("h0_rule", "linear"), ("h0_rule", -1.0),
+    ("J_rule", "bogus"), ("J_rule", 0), ("J_rule", 2.5),
+    ("bandwidth_rule", "wide"), ("bandwidth_rule", 0.0),
+    ("n", 16.0), ("replications", True), ("clip_floor", 0.0), ("noise_convention", "eps"),
+])
+def test_config_checks_name_field(field, value):
+    with pytest.raises(harness.ConfigError, match=f"config field {field}: must be"):
+        small_cfg(**{field: value})
+
+
+def test_from_mapping_defaults_and_paths():
+    cfg = ExperimentConfig.from_mapping({"spec": vm.Constant(1.0), "n": 1024, "delta": 0.3,
+                                         "replications": 2})
+    assert cfg == ExperimentConfig(spec=vm.Constant(1.0), n=1024, delta=0.3, replications=2)
+    with pytest.raises(harness.ConfigError, match=r"config field \$\.base\.J_rule: "):
+        ExperimentConfig.from_mapping({"spec": vm.Constant(1.0), "n": 1024, "delta": 0.3,
+                                       "replications": 2, "J_rule": "bogus"}, "$.base")
+
+
 def test_resolve_design_rules():
     cfg = small_cfg(h0_rule="log", J_rule="loglog")
     design = resolve_design(cfg)
@@ -89,7 +109,9 @@ def test_determinism_across_parallelism():
 
 def test_summary_recomputable_bit_exact():
     report = run_iv_mc(small_cfg(replications=6))
-    assert report.recompute_summary() == report.summary
+    recomputed = summarize(report.config, report.iv_values, report.spot_sup_errors,
+                           len(report.failures), report.summary["wall_time"])
+    assert recomputed == report.summary
 
 
 def test_replication_independence():

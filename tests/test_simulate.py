@@ -151,6 +151,27 @@ def test_rng_streams_differ():
     assert not np.allclose(x, y)
 
 
+def test_rng_key_layout():
+    # in-range seeds keep the streams they always had: seed in the high and
+    # stream in the low 64 bits of the Philox key
+    for seed, stream in [(0, 0), (5, 3), (2**64 - 1, 2**64 - 1)]:
+        expect = np.random.Generator(np.random.Philox(key=(seed << 64) ^ stream)).standard_normal(4)
+        assert np.array_equal(rng_for(seed, stream).standard_normal(4), expect)
+
+
+@pytest.mark.parametrize("seed,stream", [(-5, 0), (2**64, 0), (5 + 2**64, 0), (0, -1), (0, 2**64)])
+def test_rng_rejects_out_of_range(seed, stream):
+    with pytest.raises(ValueError, match="2\\^64"):
+        rng_for(seed, stream)
+
+
+def test_record_seeds_do_not_alias():
+    # 5 + 2^64 and -5 once replayed the streams of 5 and 2^64 - 5
+    for seed in (5 + 2**64, -5):
+        with pytest.raises(ValueError):
+            simulate_observations(vm.Constant(1.0), 64, 0.1, seed)
+
+
 def test_observation_csv_roundtrip(tmp_path):
     obs = simulate_observations(vm.PiecewiseConstant((1.0, 2.0)), 64, 0.05, seed=77)
     path = tmp_path / "obs.csv"
