@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import equivalence, estimators, fisher, harness, simulate, spectral, volmodel
-from .harness import ConfigError, _is_integer, _is_positive
+from .harness import _is_integer, _is_positive
+from .volmodel import ConfigError
 
 SCHEMA_VERSION = 1
 
@@ -86,15 +87,11 @@ def _spec(value, path):
     if not isinstance(value, dict):
         raise ConfigError(path, f"must be an object, got {value!r}")
     try:
-        spec = volmodel.spec_from_json(value)
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}", "required field missing") from None
-    except (TypeError, ValueError) as exc:
+        return volmodel.spec_from_json(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.problem) from None
+    except ValueError as exc:    # a value outside the curve's range
         raise ConfigError(path, str(exc)) from None
-    unknown = sorted(set(value) - set(volmodel.spec_to_json(spec)))
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown field")
-    return spec
 
 
 _COMMANDS = {}   # command name -> (config reader, run(data, out, threads) -> exit code)
@@ -364,6 +361,16 @@ def _cmd_counterexample(data, out, threads) -> int:
     return 0
 
 
+def _threads(given) -> int:
+    """The worker count: --threads, else SPECVOL_THREADS, else 1."""
+    name, value = "--threads", given
+    if value is None:
+        name, value = "SPECVOL_THREADS", os.environ.get("SPECVOL_THREADS", "1")
+    if not str(value).strip().isdigit() or int(value) < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def dispatch(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="specvol",
@@ -379,9 +386,7 @@ def dispatch(argv) -> int:
                        help="worker processes (fallback: SPECVOL_THREADS)")
     args = parser.parse_args(argv)
     try:
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get("SPECVOL_THREADS", "1"))
+        threads = _threads(args.threads)
         data = _load_config(args.config, args.command, args.seed)
         return _COMMANDS[args.command][1](data, args.out, threads)
     except harness.TooManyFailuresError as exc:

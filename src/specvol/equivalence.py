@@ -1,12 +1,15 @@
 """Finite-dimensional Gaussian distances and the coupling covariances.
 
-hellinger_exact evaluates the Hellinger distance between two multivariate
-normals through the eigenvalues of the whitened covariance, assembled from
-log1p/expm1 pieces so that distances as small as 1e-12 survive in double
+Both distances between N(mu1, Sigma1) and N(mu2, Sigma2) read one whitening:
+the lower Cholesky factor L of Sigma1 and E = L^{-1} (Sigma2 - Sigma1) L^{-T}.
+Every root R of Sigma1 = R R^T is L U with U orthogonal, so R^{-1} (Sigma2 -
+Sigma1) R^{-T} = U^T E U: the symmetric root Sigma1^{1/2} gives the same
+eigenvalues and the same Hilbert-Schmidt norm as L.  hellinger_exact assembles
+the distance from the eigenvalues 1 + mu of the whitened second covariance in
+log1p/expm1 pieces, so that distances as small as 1e-12 survive in double
 precision.  hellinger_upper_bound gives the explicit mean/covariance bound
 
-    H^2 <= 1/4 ||Sigma1^{-1/2} (mu1-mu2)||^2
-         + 2 ||Sigma1^{-1/2} (Sigma2-Sigma1) Sigma1^{-1/2}||_HS^2
+    H^2 <= 1/4 ||L^{-1} (mu1-mu2)||^2 + 2 ||E||_HS^2
 
 which dominates the exact value in the pure-mean and pure-covariance cases.
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from . import volmodel
 from .volmodel import VolatilitySpec
@@ -64,25 +67,30 @@ def _chol_or_report(cov: np.ndarray, what: str) -> np.ndarray:
         ) from None
 
 
-def hellinger_exact(p: GaussianLaw, q: GaussianLaw) -> float:
-    """Hellinger distance H(p, q) in [0, sqrt(2)] between Gaussian laws."""
+def _whiten(p: GaussianLaw, q: GaussianLaw):
+    """L, the lower Cholesky factor of Sigma1, and the whitened difference
+    E = L^{-1} (Sigma2 - Sigma1) L^{-T}."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     L = _chol_or_report(p.cov, "first covariance")
-    # whitened second covariance and its eigenvalues
-    half = np.linalg.solve(L, q.cov)
-    M = np.linalg.solve(L, half.T)
-    M = 0.5 * (M + M.T)
-    lam = np.linalg.eigvalsh(M)
-    if lam.min() <= 0:
+    half = solve_triangular(L, q.cov - p.cov, lower=True)
+    E = solve_triangular(L, half.T, lower=True)
+    return L, 0.5 * (E + E.T)
+
+
+def hellinger_exact(p: GaussianLaw, q: GaussianLaw) -> float:
+    """Hellinger distance H(p, q) in [0, sqrt(2)] between Gaussian laws."""
+    _, E = _whiten(p, q)
+    mu = np.linalg.eigvalsh(E)   # the whitened second covariance has eigenvalues 1 + mu
+    if 1.0 + mu.min() <= 0:
         raise NotPositiveDefiniteError(
             f"second covariance is not positive definite after whitening: "
-            f"smallest eigenvalue {lam.min():.3e}"
+            f"smallest eigenvalue {1.0 + mu.min():.3e}"
         )
     # log Bhattacharyya coefficient, each eigenvalue term computed cancellation-free:
-    # log((1+lam)/(2 sqrt(lam))) = log1p((sqrt(lam)-1)^2 / (2 sqrt(lam)))
-    r = np.sqrt(lam)
-    log_bc = -0.5 * np.sum(np.log1p((r - 1.0) ** 2 / (2.0 * r)))
+    # log((1+lam)/(2 sqrt(lam))) = log1p((sqrt(lam)-1)^2 / (2 sqrt(lam))), sqrt(lam)-1 = mu/(sqrt(lam)+1)
+    r = np.sqrt(1.0 + mu)
+    log_bc = -0.5 * np.sum(np.log1p((mu / (r + 1.0)) ** 2 / (2.0 * r)))
     dmu = q.mean - p.mean
     if np.any(dmu != 0.0):
         avg = 0.5 * (p.cov + q.cov)
@@ -92,31 +100,12 @@ def hellinger_exact(p: GaussianLaw, q: GaussianLaw) -> float:
     return float(np.sqrt(max(h2, 0.0)))
 
 
-def _whitened_difference(p: GaussianLaw, q: GaussianLaw) -> np.ndarray:
-    """Sigma1^{-1/2} (Sigma2 - Sigma1) Sigma1^{-1/2} via the symmetric root."""
-    w, v = eigh(p.cov)
-    if w.min() <= 0:
-        raise NotPositiveDefiniteError(
-            f"first covariance is not positive definite: smallest eigenvalue {w.min():.3e}"
-        )
-    inv_root = (v / np.sqrt(w)) @ v.T
-    return inv_root @ (q.cov - p.cov) @ inv_root
-
-
 def hellinger_upper_bound(p: GaussianLaw, q: GaussianLaw) -> float:
     """Explicit upper bound on H^2; exact-dominating for pure mean or pure
     covariance perturbations."""
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    term_cov = 2.0 * np.sum(_whitened_difference(p, q) ** 2)
-    dmu = q.mean - p.mean
-    if np.any(dmu != 0.0):
-        L = _chol_or_report(p.cov, "first covariance")
-        z = np.linalg.solve(L, dmu)
-        term_mean = 0.25 * float(z @ z)
-    else:
-        term_mean = 0.0
-    return float(term_mean + term_cov)
+    L, E = _whiten(p, q)
+    z = solve_triangular(L, q.mean - p.mean, lower=True)
+    return float(0.25 * (z @ z) + 2.0 * np.sum(E ** 2))
 
 
 def observation_covariance(spec: VolatilitySpec, n: int, delta: float) -> GaussianLaw:
@@ -172,9 +161,7 @@ def hellinger_decay(spec: VolatilitySpec, delta: float, n_list) -> DecayResult:
         q = symmetrized_covariance(spec, n, delta)
         h2s.append(hellinger_exact(p, q) ** 2)
         bounds.append(hellinger_upper_bound(p, q))
-    from scipy.stats import linregress  # deferred: importing scipy.stats costs 0.2 s
-
-    slope = float(linregress(np.log(ns), np.log(h2s)).slope)
+    slope = float(np.polyfit(np.log(ns), np.log(h2s), 1)[0])
     return DecayResult(
         n_values=tuple(ns), h2_values=tuple(h2s), bound_values=tuple(bounds), slope=slope
     )

@@ -29,20 +29,12 @@ from . import _kernels, volmodel
 from .estimators import integrated_volatility_estimate, spot_estimate
 from .simulate import BlockGrid, ObservationSet, _increment_sd, simulate_observations
 from .spectral import block_coefficients
-from .volmodel import VolatilitySpec
+from .volmodel import ConfigError, VolatilitySpec
 
 KS_CRITICAL_COEF = 1.63  # level-0.01 coefficient: reject when KS > 1.63/sqrt(M)
 
 
 MIN_N = 16  # the least number of observations a config may ask for
-
-
-class ConfigError(ValueError):
-    """A bad config field; field is its name or JSON path."""
-
-    def __init__(self, field: str, problem: str):
-        super().__init__(f"config field {field}: {problem}")
-        self.field, self.problem = field, problem
 
 
 def _is_integer(value, least=-np.inf, below=np.inf) -> bool:

@@ -10,8 +10,9 @@ a(1+s) = a(1-s) needed by the symmetrized covariance construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Union, get_type_hints
 
 import numpy as np
 
@@ -20,6 +21,14 @@ QUAD_TOL = 1e-13
 
 class DomainError(ValueError):
     """Argument outside the domain an operation is defined on."""
+
+
+class ConfigError(ValueError):
+    """A bad config field; field is its name or JSON path."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"config field {field}: {problem}")
+        self.field, self.problem = field, problem
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,10 @@ class Oscillating:
 
 VolatilitySpec = Union[Constant, PiecewiseConstant, Sinusoid, Oscillating]
 
-_SPEC_TYPES = (Constant, PiecewiseConstant, Sinusoid, Oscillating)
+# spec JSON "kind" -> curve; the other JSON fields of a curve are its dataclass fields
+_KINDS = {"constant": Constant, "piecewise_constant": PiecewiseConstant,
+          "sinusoid": Sinusoid, "oscillating": Oscillating}
+_SPEC_TYPES = tuple(_KINDS.values())
 
 
 def sigma_squared(spec: VolatilitySpec, t):
@@ -238,39 +250,41 @@ def true_integrated_volatility(spec: VolatilitySpec) -> float:
 
 
 def spec_to_json(spec: VolatilitySpec) -> dict:
-    if isinstance(spec, Constant):
-        return {"kind": "constant", "level": spec.level}
-    if isinstance(spec, PiecewiseConstant):
-        return {"kind": "piecewise_constant", "values": list(spec.values)}
-    if isinstance(spec, Sinusoid):
-        return {
-            "kind": "sinusoid",
-            "base": spec.base,
-            "amplitude": spec.amplitude,
-            "cycles": spec.cycles,
-            "phase": spec.phase,
-        }
-    if isinstance(spec, Oscillating):
-        return {"kind": "oscillating", "n": spec.n}
+    for kind, cls in _KINDS.items():
+        if type(spec) is cls:
+            plain = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(spec).items()}
+            return {"kind": kind, **plain}
     raise TypeError(f"not a VolatilitySpec: {spec!r}")
 
 
+def _typed(value, name, kind):
+    """value as kind: float, int, or a tuple of floats.  A bool, a string or
+    (for an int) a float raises ConfigError naming the field name."""
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(name, f"must be a list of numbers, got {value!r}")
+        return tuple(_typed(v, f"{name}[{i}]", float) for i, v in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        raise ConfigError(name, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def spec_from_json(data) -> VolatilitySpec:
-    try:
-        kind = data["kind"]
-    except (TypeError, KeyError):
-        raise ValueError("volatility spec JSON needs a 'kind' field") from None
-    if kind == "constant":
-        return Constant(level=float(data["level"]))
-    if kind == "piecewise_constant":
-        return PiecewiseConstant(values=tuple(float(v) for v in data["values"]))
-    if kind == "sinusoid":
-        return Sinusoid(
-            base=float(data["base"]),
-            amplitude=float(data["amplitude"]),
-            cycles=int(data["cycles"]),
-            phase=float(data.get("phase", 0.0)),
-        )
-    if kind == "oscillating":
-        return Oscillating(n=int(data["n"]))
-    raise ValueError(f"unknown volatility spec kind: {kind!r}")
+    """The curve of a spec_to_json mapping.  A missing, unknown or mistyped
+    field raises ConfigError with the field's name; a value outside the
+    curve's range raises ValueError."""
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError("kind", f"must be one of {', '.join(map(repr, _KINDS))}, got {kind!r}")
+    cls = _KINDS[kind]
+    types = get_type_hints(cls)
+    unknown = sorted(data.keys() - types.keys() - {"kind"})
+    if unknown:
+        raise ConfigError(unknown[0], "unknown field")
+    args = {}
+    for field in fields(cls):
+        if field.name in data:
+            args[field.name] = _typed(data[field.name], field.name, types[field.name])
+        elif field.default is MISSING:
+            raise ConfigError(field.name, "required field missing")
+    return cls(**args)

@@ -101,10 +101,12 @@ def test_mc_iv_acceptance_gate(tmp_path, capsys):
     assert run(["mc-iv", "--config", bad_cfg, "--out", tmp_path / "mc2.json"]) == 2
 
 
-def run_cli(args):
-    """The CLI in a fresh interpreter, as a user runs it."""
+def run_cli(args, **environ):
+    """The CLI in a fresh interpreter, as a user runs it, with environ added
+    to its environment."""
     src = str(Path(specvol.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **environ)
     return subprocess.run([sys.executable, "-m", "specvol.cli", *map(str, args)],
                           capture_output=True, text=True, env=env)
 
@@ -117,6 +119,22 @@ def test_mc_iv_seed_out_of_range(tmp_path):
     assert proc.returncode == 1
     assert "master_seed" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,flags,environ,name", [
+    ("mc-iv", ["--threads", "0"], {}, "--threads"),
+    ("mc-iv", [], {"SPECVOL_THREADS": "0"}, "SPECVOL_THREADS"),
+    ("fisher", [], {"SPECVOL_THREADS": "abc"}, "SPECVOL_THREADS"),
+    ("fisher", ["--threads", "-2"], {"SPECVOL_THREADS": "abc"}, "--threads"),
+])
+def test_bad_worker_count_names_its_source(tmp_path, command, flags, environ, name):
+    payload = (MC_BASE if command == "mc-iv"
+               else {"schema_version": 1, "thetas": [1.0], "h0s": [2.0]})
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out", *flags], **environ)
+    assert proc.returncode == 1
+    assert f"error: {name} must be an integer >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field,value", [("h0_rule", [3]), ("J_rule", "bogus")])
@@ -222,6 +240,7 @@ def test_shipped_configs_load(path):
         cli._experiment(data["base"], "$.base", n=data["n_list"][0])
 
 
+SINE = {"kind": "sinusoid", "base": 1.0, "amplitude": 0.5, "cycles": 3, "phase": 0.7}
 MC_BASE = {"schema_version": 1, "spec": CONST, "n": 1024, "delta": 0.3,
            "replications": 4, "master_seed": 4, "h0_rule": 8.0, "J_rule": 16}
 RATE_BASE = {"schema_version": 1, "n_list": [256, 512, 1024, 2048],
@@ -239,9 +258,24 @@ RATE_BASE = {"schema_version": 1, "n_list": [256, 512, 1024, 2048],
     ("mc-iv", dict(MC_BASE, spec=dict(CONST, lvl=2.0)), "$.spec.lvl"),
     ("mc-iv", dict(MC_BASE, acceptance={"check_ks": "yes"}), "$.acceptance.check_ks"),
     ("spot", {"schema_version": 1, "spec": CONST, "n": 2048, "delta": 0.2}, "$.seed"),
+    ("mc-iv", dict(MC_BASE, spec=dict(SINE, cycles=2.7)), "$.spec.cycles"),
+    ("mc-iv", dict(MC_BASE, spec=dict(SINE, cycles=3.0)), "$.spec.cycles"),
+    ("simulate", {"schema_version": 1, "spec": {"kind": "oscillating", "n": 64.5}, "n": 64,
+                  "delta": 0.0, "seed": 1}, "$.spec.n"),
+    ("mc-iv", dict(MC_BASE, spec=dict(CONST, level=True)), "$.spec.level"),
+    ("mc-iv", dict(MC_BASE, spec=dict(CONST, level="1.0")), "$.spec.level"),
+    ("mc-iv", dict(MC_BASE, spec=dict(SINE, phase=None)), "$.spec.phase"),
+    ("rate", dict(RATE_BASE, base=dict(RATE_BASE["base"], spec=dict(SINE, amplitude=False))),
+     "$.base.spec.amplitude"),
+    ("mc-iv", dict(MC_BASE, spec={"kind": "piecewise_constant", "values": [1.0, "4"]}),
+     "$.spec.values[1]"),
+    ("mc-iv", dict(MC_BASE, spec={"kind": "piecewise_constant", "values": 1.0}), "$.spec.values"),
+    ("mc-iv", dict(MC_BASE, spec={"kind": "flat"}), "$.spec.kind"),
 ], ids=["rate-missing-level", "slope-range-length", "rate-small-n", "mc-iv-small-n",
         "unknown-field", "parallelism-field", "unknown-spec-field", "acceptance-type",
-        "missing-field"])
+        "missing-field", "fractional-cycles", "float-cycles", "fractional-oscillating-n",
+        "bool-level", "string-level", "null-phase", "bool-amplitude", "string-block-value",
+        "values-not-list", "unknown-kind"])
 def test_bad_config_names_path(tmp_path, command, payload, field):
     cfg = write_cfg(tmp_path, "bad.json", payload)
     proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out.json"])

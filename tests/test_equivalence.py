@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh
 from scipy.stats import ortho_group
 
 from specvol import volmodel as vm
 from specvol.equivalence import (
     GaussianLaw,
     NotPositiveDefiniteError,
+    _whiten,
     hellinger_decay,
     hellinger_exact,
     hellinger_upper_bound,
@@ -114,6 +116,60 @@ def test_bound_dominates_randomized(rng):
             p = GaussianLaw(np.zeros(5), cov)
             q = GaussianLaw(0.1 * rng.standard_normal(5), cov)
         assert hellinger_upper_bound(p, q) >= hellinger_exact(p, q) ** 2
+
+
+def symmetric_root_bound(p, q):
+    """The bound through the symmetric root:
+    1/4 ||S^{-1/2} dmu||^2 + 2 ||S^{-1/2} (Sigma2 - Sigma1) S^{-1/2}||_HS^2, S = Sigma1."""
+    w, v = eigh(p.cov)
+    inv_root = (v / np.sqrt(w)) @ v.T
+    z = inv_root @ (q.mean - p.mean)
+    return 0.25 * z @ z + 2.0 * np.sum((inv_root @ (q.cov - p.cov) @ inv_root) ** 2)
+
+
+def decay_pair(n):
+    spec = vm.Sinusoid(1.0, 0.5, 3, 0.7)
+    return observation_covariance(spec, n, 0.3), symmetrized_covariance(spec, n, 0.3)
+
+
+def logdet_h2(p, q):
+    """Zero-mean H^2 from three Cholesky log-determinants, with its rounding allowance."""
+    def logdet(c):
+        return 2.0 * np.sum(np.log(np.diag(np.linalg.cholesky(c))))
+
+    ld_p, ld_q, ld_avg = logdet(p.cov), logdet(q.cov), logdet(0.5 * (p.cov + q.cov))
+    allowance = 8.0 * np.finfo(float).eps * (abs(ld_p) + abs(ld_q) + 2.0 * abs(ld_avg))
+    return -2.0 * np.expm1(0.25 * ld_p + 0.25 * ld_q - 0.5 * ld_avg), allowance
+
+
+def test_whiten_is_a_cholesky_congruence(rng):
+    for p, q in [decay_pair(64)] + [
+        (GaussianLaw(np.zeros(6), random_spd(rng, 6)), GaussianLaw(np.zeros(6), random_spd(rng, 6)))
+        for _ in range(5)
+    ]:
+        L, E = _whiten(p, q)
+        assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0)
+        assert np.allclose(L @ L.T, p.cov, rtol=0, atol=1e-12 * np.abs(p.cov).max())
+        assert np.array_equal(E, E.T)
+        diff = q.cov - p.cov
+        assert np.allclose(L @ E @ L.T, diff, rtol=0, atol=1e-10 * np.abs(diff).max())
+
+
+def test_bound_matches_symmetric_root(rng):
+    for trial in range(20):
+        p = GaussianLaw(np.zeros(5), random_spd(rng, 5, ridge=0.5))
+        mean = rng.standard_normal(5) if trial % 2 else np.zeros(5)
+        q = GaussianLaw(mean, random_spd(rng, 5, ridge=0.5))
+        assert hellinger_upper_bound(p, q) == pytest.approx(symmetric_root_bound(p, q), rel=1e-10)
+    p, q = decay_pair(256)
+    assert hellinger_upper_bound(p, q) == pytest.approx(symmetric_root_bound(p, q), rel=1e-10)
+
+
+def test_exact_matches_logdet_on_decay_pair():
+    for n in (64, 256):
+        p, q = decay_pair(n)
+        reference, allowance = logdet_h2(p, q)
+        assert abs(hellinger_exact(p, q) ** 2 - reference) <= allowance
 
 
 def test_non_pd_reports_condition():
