@@ -366,7 +366,7 @@ def _threads(given) -> int:
     name, value = "--threads", given
     if value is None:
         name, value = "SPECVOL_THREADS", os.environ.get("SPECVOL_THREADS", "1")
-    if not str(value).strip().isdigit() or int(value) < 1:
+    if not str(value).strip().isdecimal() or int(value) < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
 

@@ -88,7 +88,8 @@ def hellinger_exact(p: GaussianLaw, q: GaussianLaw) -> float:
             f"smallest eigenvalue {1.0 + mu.min():.3e}"
         )
     # log Bhattacharyya coefficient, each eigenvalue term computed cancellation-free:
-    # log((1+lam)/(2 sqrt(lam))) = log1p((sqrt(lam)-1)^2 / (2 sqrt(lam))), sqrt(lam)-1 = mu/(sqrt(lam)+1)
+    # log((1+lam)/(2 sqrt(lam))) = log1p((sqrt(lam)-1)^2 / (2 sqrt(lam))) with lam = 1 + mu,
+    # and sqrt(lam) - 1 = mu / (sqrt(lam) + 1) needs no subtraction
     r = np.sqrt(1.0 + mu)
     log_bc = -0.5 * np.sum(np.log1p((mu / (r + 1.0)) ** 2 / (2.0 * r)))
     dmu = q.mean - p.mean
