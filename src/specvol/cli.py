@@ -119,12 +119,15 @@ _CONFIG_FIELDS = {f.name for f in fields(harness.ExperimentConfig)}
 
 def _load_config(path: str, command: str, seed=None) -> dict:
     """The checked fields of a config file.  seed, when given, replaces the
-    config's seed (the master seed of mc-iv and rate) before the check."""
+    config's seed (the master seed of mc-iv and rate) before the check; the
+    configs of fisher and decay have no seed, so these two refuse one."""
+    if seed is not None and command in ("fisher", "decay"):
+        raise ValueError(f"--seed given, but a {command} config has no seed")
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if seed is not None and command not in ("fisher", "decay") and isinstance(data, dict):
+    if seed is not None and isinstance(data, dict):
         target = data.get("base") if command == "rate" else data
         if isinstance(target, dict):
             target["master_seed" if command in ("mc-iv", "rate") else "seed"] = seed

@@ -8,12 +8,12 @@ through the identity
     sum_{j>=1} lam^3 / (lam^2 + pi^2 j^2)^2
         = (1 + 4 lam e^{-2 lam} - e^{-4 lam}) / (4 (1 - e^{-2 lam})^2) - 1/(2 lam)
 
-with lam = sqrt(theta) * h0.
+with lam = sqrt(theta) * h0.  block_information_partial sums the information
+series directly; the brute-force partial sum of the identity and its tail
+bound, which check scale_series_closed, live in tests/oracles.py.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta
@@ -22,19 +22,6 @@ from scipy.special import zeta
 # O(lam^6) assembled from O(lam^2) pieces); the alternating zeta series
 # converges geometrically at rate (lam/pi)^2 and takes over.
 _SERIES_CUTOFF = 0.5
-
-
-@dataclass(frozen=True)
-class FisherQuery:
-    theta: float
-    h0: float
-    jmax: int = 10 ** 6
-
-    def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if not self.h0 > 0:
-            raise ValueError(f"h0 must be positive, got {self.h0}")
 
 
 def _series_small(lam: float) -> float:
@@ -59,35 +46,28 @@ def scale_series_closed(lam: float) -> float:
     return float((1.0 + 4.0 * lam * q - q * q) / (4.0 * d * d) - 1.0 / (2.0 * lam))
 
 
-def scale_series_partial(lam: float, jmax: int = 10 ** 6) -> float:
-    """Brute-force partial sum to jmax; independent check of the closed form."""
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    j = np.arange(1, jmax + 1, dtype=np.float64)
-    return float(np.sum(lam ** 3 / (lam ** 2 + np.pi ** 2 * j ** 2) ** 2))
-
-
-def scale_series_tail_bound(lam: float, jmax: int) -> float:
-    """Upper bound on the dropped tail of the partial sum: lam^3/(3 pi^4 jmax^3)."""
-    return lam ** 3 / (3.0 * np.pi ** 4 * jmax ** 3)
-
-
 def block_information(theta: float, h0: float) -> float:
     """I(theta) = sum_j 1 / (2 (theta + pi^2 j^2 / h0^2)^2), closed form.
 
-    Grows like h0 * / (8 theta^{3/2}) as h0 -> infinity.
+    Grows like h0 / (8 theta^{3/2}) as h0 -> infinity.
     """
-    q = FisherQuery(theta=theta, h0=h0)
-    lam = np.sqrt(q.theta) * q.h0
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    if not h0 > 0:
+        raise ValueError(f"h0 must be positive, got {h0}")
+    lam = np.sqrt(theta) * h0
     # theta + pi^2 j^2 / h0^2 = (lam^2 + pi^2 j^2) / h0^2
-    return float(q.h0 ** 4 / (2.0 * lam ** 3) * scale_series_closed(lam))
+    return float(h0 ** 4 / (2.0 * lam ** 3) * scale_series_closed(lam))
 
 
 def block_information_partial(theta: float, h0: float, jmax: int = 10 ** 6) -> float:
     """Brute-force sum of the information series to jmax."""
-    q = FisherQuery(theta=theta, h0=h0, jmax=jmax)
-    j = np.arange(1, q.jmax + 1, dtype=np.float64)
-    return float(np.sum(0.5 / (q.theta + np.pi ** 2 * j ** 2 / q.h0 ** 2) ** 2))
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    if not h0 > 0:
+        raise ValueError(f"h0 must be positive, got {h0}")
+    j = np.arange(1, jmax + 1, dtype=np.float64)
+    return float(np.sum(0.5 / (theta + np.pi ** 2 * j ** 2 / h0 ** 2) ** 2))
 
 
 def single_frequency_information(sigma0: float, h0: float) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import multiprocessing
 import numbers
+import pickle
 import time
 from contextlib import contextmanager, suppress
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels, volmodel
-from .estimators import integrated_volatility_estimate, spot_estimate
+from .estimators import asymptotic_variance, integrated_volatility_estimate, spot_estimate
 from .simulate import BlockGrid, ObservationSet, _increment_sd, simulate_observations
 from .spectral import block_coefficients
 from .volmodel import ConfigError, VolatilitySpec
@@ -202,6 +203,8 @@ def _pool(cfgs):
     if workers == 1:
         yield None
         return
+    # a task the pool cannot pickle hangs its shutdown, so fail before the fork
+    pickle.dumps(cfgs)
     # state that fails to build fails every replication, which records it
     with suppress(Exception):
         _prepare(cfgs)
@@ -231,7 +234,7 @@ def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_
 
     values = np.asarray(iv_values, dtype=np.float64)
     target_iv = volmodel.true_integrated_volatility(cfg.spec)
-    target_avar = 8.0 * cfg.delta * volmodel.integrated_power(cfg.spec, 3, 0.0, 1.0)
+    target_avar = asymptotic_variance(cfg.spec, cfg.delta)
     scaled = cfg.n ** 0.25 * (values - target_iv)
     studentized = scaled / np.sqrt(target_avar)
     m = values.size

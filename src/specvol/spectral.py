@@ -11,7 +11,9 @@ whose antiderivative vanishing at the block edges is
 The discrete coefficient of an observation record is the antiderivative
 integrated exactly against the slope of the linearly interpolated data
 (Y_0 := 0): per observation cell this weights the increment Y_i - Y_{i-1}
-by -n * int_cell basis_antiderivative.
+by -n * int_cell basis_antiderivative.  The pointwise basis and
+antiderivative, and the exact cell integral, live in tests/oracles.py as the
+reference implementations the transform is checked against.
 """
 
 from __future__ import annotations
@@ -20,58 +22,6 @@ import numpy as np
 
 from . import _kernels
 from .simulate import BlockGrid, ConfigurationError, ObservationSet, SpectralCoefficients
-
-
-def _in_block(k: int, h: float, t):
-    return (t >= k * h) & (t <= (k + 1) * h)
-
-
-def basis_cos(j: int, k: int, h: float, t):
-    """Localized cosine, zero outside [kh, (k+1)h]."""
-    if j < 1:
-        raise ValueError("frequency j must be >= 1")
-    if not (0 <= k < round(1.0 / h)):
-        raise ValueError(f"block index k={k} outside the grid")
-    ts = np.asarray(t, dtype=float)
-    out = np.where(
-        _in_block(k, h, ts),
-        np.sqrt(2.0 / h) * np.cos(j * np.pi * (ts - k * h) / h),
-        0.0,
-    )
-    return out if out.ndim else float(out)
-
-
-def basis_antiderivative(j: int, k: int, h: float, t):
-    """Antiderivative of basis_cos, vanishing at both block endpoints."""
-    if j < 1:
-        raise ValueError("frequency j must be >= 1")
-    if not (0 <= k < round(1.0 / h)):
-        raise ValueError(f"block index k={k} outside the grid")
-    ts = np.asarray(t, dtype=float)
-    out = np.where(
-        _in_block(k, h, ts),
-        np.sqrt(2.0 * h) / (np.pi * j) * np.sin(j * np.pi * (ts - k * h) / h),
-        0.0,
-    )
-    return out if out.ndim else float(out)
-
-
-def antiderivative_integral(j: int, k: int, h: float, a: float, b: float) -> float:
-    """Exact integral of basis_antiderivative over [a,b] (support-clipped).
-
-    Closed form: -sqrt(2h) h / (pi^2 j^2) * [cos(j pi (t-kh)/h)]_a^b on the
-    intersection with the block.
-    """
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
-    lo = max(a, k * h)
-    hi = min(b, (k + 1) * h)
-    if hi <= lo:
-        return 0.0
-    u_lo = (lo - k * h) / h
-    u_hi = (hi - k * h) / h
-    c = np.sqrt(2.0 * h) * h / (np.pi ** 2 * j ** 2)
-    return float(-c * (np.cos(j * np.pi * u_hi) - np.cos(j * np.pi * u_lo)))
 
 
 def block_coefficients(obs: ObservationSet, grid: BlockGrid) -> SpectralCoefficients:

@@ -121,6 +121,18 @@ def test_mc_iv_seed_out_of_range(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("fisher", {"schema_version": 1, "thetas": [1.0], "h0s": [2.0]}),
+    ("decay", {"schema_version": 1, "spec": CONST, "delta": 0.5, "n_list": [64, 128]}),
+])
+def test_seed_rejected_without_config_seed(tmp_path, command, payload):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out", "--seed", 5])
+    assert proc.returncode == 1
+    assert f"error: --seed given, but a {command} config has no seed" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,flags,environ,name", [
     ("mc-iv", ["--threads", "0"], {}, "--threads"),
     ("mc-iv", [], {"SPECVOL_THREADS": "0"}, "SPECVOL_THREADS"),

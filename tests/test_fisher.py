@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from oracles import scale_series_partial, scale_series_tail_bound
 from specvol import fisher
 
 # partial sum to j = 1e6 at lam = 1, frozen from the brute-force oracle
@@ -11,7 +12,7 @@ PARTIAL_AT_1 = 0.00927423661641044
 
 
 def test_series_partial_anchor():
-    got = fisher.scale_series_partial(1.0, 10**6)
+    got = scale_series_partial(1.0, 10**6)
     assert got == pytest.approx(PARTIAL_AT_1, rel=1e-12)
     assert got == pytest.approx(0.00927, abs=5e-6)
 
@@ -19,7 +20,7 @@ def test_series_partial_anchor():
 @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, np.pi, 10.0, 100.0])
 def test_series_closed_vs_partial(lam):
     closed = fisher.scale_series_closed(lam)
-    partial = fisher.scale_series_partial(lam, 10**6)
+    partial = scale_series_partial(lam, 10**6)
     assert abs(closed - partial) / partial < 1e-8
 
 
@@ -46,7 +47,7 @@ def test_tail_bound_is_a_bound():
     j = np.arange(10**5 + 1, 10**6 + 1, dtype=np.float64)
     for lam in [0.5, 2.0, 20.0]:
         tail = math.fsum(lam**3 / (lam**2 + np.pi**2 * j**2) ** 2)
-        assert tail < fisher.scale_series_tail_bound(lam, 10**5)
+        assert tail < scale_series_tail_bound(lam, 10**5)
 
 
 @pytest.mark.parametrize("theta", [0.25, 1.0, 4.0])
@@ -120,8 +121,12 @@ def test_riemann_limit_of_information_sum():
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        fisher.FisherQuery(theta=-1.0, h0=1.0)
+        fisher.block_information(-1.0, 1.0)
     with pytest.raises(ValueError):
-        fisher.FisherQuery(theta=1.0, h0=0.0)
+        fisher.block_information(1.0, 0.0)
+    with pytest.raises(ValueError):
+        fisher.block_information_partial(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        fisher.block_information_partial(1.0, 0.0)
     with pytest.raises(ValueError):
         fisher.single_frequency_information(0.0, 1.0)

@@ -1,10 +1,16 @@
 import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specvol
 from specvol import _kernels, harness, simulate
 from specvol import volmodel as vm
 from specvol.harness import (
@@ -284,3 +290,36 @@ def test_failure_mid_regression_shuts_the_pool(monkeypatch):
         run_rate_regression(small_cfg(replications=4, delta=0.5, parallelism=2), [256, 512, 1024, 2048])
     assert log == {"opened": 1, "shut": 1}
     assert multiprocessing.active_children() == []
+
+
+UNPICKLABLE_POOL_RUN = """
+from specvol import volmodel as vm
+from specvol.harness import ExperimentConfig, run_iv_mc
+
+def main():
+    class Local(vm.Constant):  # a class defined in a function cannot be pickled
+        pass
+
+    run_iv_mc(ExperimentConfig(spec=Local(1.0), n=1024, delta=0.3, replications=4,
+                               h0_rule=8.0, J_rule=16, master_seed=7, parallelism=2))
+
+main()
+"""
+
+
+def test_unpicklable_config_fails_before_the_fork():
+    # A pool whose tasks cannot be pickled hangs in its shutdown, so the run
+    # goes in a session of its own, whose process group a timeout kills with
+    # the workers it forked.
+    src = str(Path(specvol.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", UNPICKLABLE_POOL_RUN], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a pooled run of an unpicklable config hung for 30 s")
+    assert proc.returncode != 0
+    assert "pickle" in err

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import antiderivative_integral
 from specvol import _kernels as kk
-from specvol.spectral import antiderivative_integral
 
 
 def brute_force_coefficients(dY, n, K, J):

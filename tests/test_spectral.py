@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import antiderivative_integral, basis_antiderivative, basis_cos
 from specvol import _kernels
 from specvol import volmodel as vm
 from specvol.simulate import (
@@ -11,12 +12,7 @@ from specvol.simulate import (
     oracle_variance,
     simulate_observations,
 )
-from specvol.spectral import (
-    antiderivative_integral,
-    basis_antiderivative,
-    basis_cos,
-    block_coefficients,
-)
+from specvol.spectral import block_coefficients
 
 
 def test_basis_cos_examples():
