@@ -19,8 +19,10 @@ coefficients are that view times one weight matrix
 
     D_r[p, j] = scale_j * (cos(j*pi*m_hi[p]/bw) - cos(j*pi*m_lo[p]/bw)).
 
-Two evaluators compute the sum; `use_dst` picks one from (n, K, J) alone, so
-the result does not depend on anything but the layout:
+One cached builder, `layout(n, K, J)`, picks the evaluator and builds the
+state it reads, so the result depends on (n, K, J) alone and is the same for
+any worker count, and a process can build that state before it forks
+workers.  The evaluators:
 
 - dst: on aligned grids (cw = 1, every block holds bw whole cells) and
   1 < J <= bw, piece p of a block is cell p, and
@@ -35,16 +37,13 @@ the result does not depend on anything but the layout:
   time than it saves;
 - products: everywhere else.  J = 1 is one matrix-vector reduction per class
   (einsum, no BLAS); J > 1 is a matrix product per class.  Classes of at
-  least _VIEW_CELLS cells run one by one on strided views; smaller ones are
-  batched through one gather of the cells of every block, cmax per block.
-  The weights of a layout are cached when they fit in _PLAN_BYTES (8 MiB);
-  the last eight layouts are kept (the main and spot grids of the four n of
-  a rate regression), so the cache holds at most 64 MiB.  Larger weights are
-  built a chunk at a time.
+  least _VIEW_CELLS cells run one by one on strided views ("views"); smaller
+  ones are batched through one gather of the cells of every block, cmax per
+  block ("batched").  A layout keeps its weights when they fit in
+  _PLAN_BYTES (8 MiB); larger weights are built a chunk at a time.
 
-`prepare(n, K, J)` builds the cached weights and cell windows that
-`block_sums` reads for a layout, so that a process can build them before it
-forks workers.
+The last eight layouts are kept (the main and spot grids of the four n of a
+rate regression), so the cached weights take at most 64 MiB.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ class ClassPlan:
         return self.edges.shape[1] - 1
 
 
-@lru_cache(maxsize=16)
 def class_plan(n: int, K: int) -> ClassPlan:
     """Exact piece edges per offset class, in integer arithmetic."""
     if K < 1 or n < 1:
@@ -121,12 +119,6 @@ def coefficient_scales(n: int, K: int, J: int) -> np.ndarray:
     return n * np.sqrt(2.0 * h) * h / (np.pi ** 2 * j ** 2)
 
 
-def use_dst(n: int, K: int, J: int) -> bool:
-    """True on aligned grids (K divides n) for 1 < J <= bw: the DST returns
-    frequencies up to bw = n/K only."""
-    return n % K == 0 and 1 < J <= n // K
-
-
 def _weights(plan: ClassPlan, scale: np.ndarray, j0: int, j1: int, r0: int, r1: int) -> np.ndarray:
     """(r1 - r0, cmax, j1 - j0) weights D_r[p, j] of classes r0..r1-1, frequencies j0+1..j1."""
     u = (np.pi / plan.bw) * np.arange(j0 + 1, j1 + 1, dtype=np.float64)
@@ -137,43 +129,40 @@ def _weights(plan: ClassPlan, scale: np.ndarray, j0: int, j1: int, r0: int, r1: 
     return D
 
 
-def _fits_cache(plan: ClassPlan, J: int) -> bool:
-    return 8 * plan.cw * plan.cmax * J <= _PLAN_BYTES
+@dataclass(frozen=True)
+class Layout:
+    """The evaluator block_sums runs on one (n, K, J) layout, and what it reads."""
+
+    plan: ClassPlan
+    scale: np.ndarray                 # (J,) scale_j
+    evaluator: str                    # "dst", "views" or "batched"
+    weights: np.ndarray | None        # dst: (J,) row factor -scale_j sin(j*pi/(2bw));
+                                      # else (cw, cmax, J) weights, None when built per chunk
+    cells: np.ndarray | None          # batched: (g, cw, cmax) cell of piece p of block i
+                                      # of class r; padding pieces read cell n, a zero
 
 
 @lru_cache(maxsize=_CACHED_LAYOUTS)
-def _cached_weights(n: int, K: int, J: int) -> np.ndarray:
+def layout(n: int, K: int, J: int) -> Layout:
+    """Pick the evaluator of the layout (n, K, J) and build its state."""
     plan = class_plan(n, K)
-    D = _weights(plan, coefficient_scales(n, K, J), 0, J, 0, plan.cw)
-    D.setflags(write=False)
-    return D
-
-
-@lru_cache(maxsize=_CACHED_LAYOUTS)
-def _window_cells(n: int, K: int) -> np.ndarray:
-    """(g, cw, cmax) cell of piece p of block i of class r.  Padding pieces
-    read cell n, a zero appended to the increments."""
-    plan = class_plan(n, K)
-    p = np.arange(plan.cmax)
-    cells = plan.first[:, None] + plan.bw * np.arange(plan.g)[:, None, None] + p
-    cells = np.where(p < plan.count[:, None], cells, n)
-    cells.setflags(write=False)
-    return cells
-
-
-def _batched(plan: ClassPlan) -> bool:
-    return plan.g * plan.bw < _VIEW_CELLS * plan.cw
-
-
-def prepare(n: int, K: int, J: int) -> None:
-    """Fill the caches block_sums reads for the layout (n, K, J)."""
-    if use_dst(n, K, J):
-        return
-    plan = class_plan(n, K)
-    if _batched(plan):
-        _window_cells(n, K)
-    if _fits_cache(plan, J):
-        _cached_weights(n, K, J)
+    scale = coefficient_scales(n, K, J)
+    cells = None
+    if plan.cw == 1 and 1 < J <= plan.bw:    # the DST returns frequencies up to bw only
+        evaluator = "dst"
+        weights = -scale * np.sin(np.arange(1, J + 1, dtype=np.float64) * (np.pi / (2 * plan.bw)))
+    else:
+        evaluator = "batched" if plan.g * plan.bw < _VIEW_CELLS * plan.cw else "views"
+        fits = 8 * plan.cw * plan.cmax * J <= _PLAN_BYTES
+        weights = _weights(plan, scale, 0, J, 0, plan.cw) if fits else None
+        if evaluator == "batched":
+            p = np.arange(plan.cmax)
+            cells = plan.first[:, None] + plan.bw * np.arange(plan.g)[:, None, None] + p
+            cells = np.where(p < plan.count[:, None], cells, n)
+    for a in (scale, weights, cells):
+        if a is not None:
+            a.setflags(write=False)
+    return Layout(plan, scale, evaluator, weights, cells)
 
 
 def _chunks(plan: ClassPlan, J: int):
@@ -185,19 +174,17 @@ def _chunks(plan: ClassPlan, J: int):
             for r0 in range(0, plan.cw, rc) for j0 in range(0, J, jc)]
 
 
-def _class_products(plan: ClassPlan, dY: np.ndarray, J: int, scale: np.ndarray) -> np.ndarray:
+def _class_products(lay: Layout, dY: np.ndarray) -> np.ndarray:
+    plan, J = lay.plan, lay.scale.size
     g, cw, bw = plan.g, plan.cw, plan.bw
     step = dY.strides[0]
     out = np.empty((J, g, cw))       # out[j, i, r] is y[j, r + i*cw]
-    cached = _fits_cache(plan, J)
-    batched = _batched(plan)
-    if batched:
-        cells = _window_cells(g * bw, g * cw)
+    if lay.cells is not None:
         padded = np.append(dY, 0.0)
-    for r0, r1, j0, j1 in [(0, cw, 0, J)] if cached else _chunks(plan, J):
-        D = _cached_weights(g * bw, g * cw, J) if cached else _weights(plan, scale, j0, j1, r0, r1)
-        if batched:
-            X = padded[cells[:, r0:r1]]                           # (g, r1 - r0, cmax)
+    for r0, r1, j0, j1 in [(0, cw, 0, J)] if lay.weights is not None else _chunks(plan, J):
+        D = lay.weights if lay.weights is not None else _weights(plan, lay.scale, j0, j1, r0, r1)
+        if lay.cells is not None:
+            X = padded[lay.cells[:, r0:r1]]                       # (g, r1 - r0, cmax)
             if j1 - j0 == 1:
                 out[j0, :, r0:r1] = np.einsum("kcp,cp->kc", X, D[:, :, 0])
             else:
@@ -215,22 +202,16 @@ def _class_products(plan: ClassPlan, dY: np.ndarray, J: int, scale: np.ndarray) 
     return out.reshape(J, g * cw)
 
 
-def _dst_sums(dY: np.ndarray, K: int, J: int, scale: np.ndarray) -> np.ndarray:
-    rows = dY.reshape(K, -1)
-    bw = rows.shape[1]
-    S = fft.dst(rows, type=2, axis=1)[:, :J].T
-    j = np.arange(1, J + 1, dtype=np.float64)
-    return (-scale * np.sin(j * (np.pi / (2 * bw))))[:, None] * S
+def _dst_sums(lay: Layout, dY: np.ndarray) -> np.ndarray:
+    S = fft.dst(dY.reshape(lay.plan.g, lay.plan.bw), type=2, axis=1)[:, :lay.weights.size].T
+    return lay.weights[:, None] * S
 
 
 def block_sums(dY: np.ndarray, K: int, J: int) -> np.ndarray:
     """Coefficients y[j-1,k] of the increments dY on K blocks, frequencies 1..J."""
     dY = np.ascontiguousarray(dY, dtype=np.float64)
-    n = dY.size
-    scale = coefficient_scales(n, K, J)
-    if use_dst(n, K, J):
-        return _dst_sums(dY, K, J, scale)
-    return _class_products(class_plan(n, K), dY, J, scale)
+    lay = layout(dY.size, K, J)
+    return _dst_sums(lay, dY) if lay.evaluator == "dst" else _class_products(lay, dY)
 
 
 @lru_cache(maxsize=16)

@@ -374,8 +374,15 @@ def _threads(given) -> int:
     return int(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2, the code of an acceptance failure; usage errors are bad input
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def dispatch(argv) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specvol",
         description="Spectral volatility estimation experiments driven by JSON configs.",
     )
@@ -385,7 +392,7 @@ def dispatch(argv) -> int:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output path (CSV or JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", default=None,
                        help="worker processes (fallback: SPECVOL_THREADS)")
     args = parser.parse_args(argv)
     try:

@@ -191,7 +191,7 @@ def _prepare(cfgs) -> None:
         design = resolve_design(cfg)
         _increment_sd(cfg.spec, cfg.n)
         for grid in (design.spot_grid, design.main_grid):
-            _kernels.prepare(cfg.n, grid.K, grid.J)
+            _kernels.layout(cfg.n, grid.K, grid.J)
         _kernels.block_normalizers(cfg.n, design.spot_grid.K, float(cfg.delta), 1)
 
 
@@ -243,7 +243,6 @@ def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_
         "failed": int(n_failed),
         "target_iv": target_iv,
         "target_avar": target_avar,
-        "mean_scaled": float(np.mean(scaled)),
         "bias_scaled": float(np.mean(scaled)),
         "variance_scaled": float(np.var(scaled, ddof=1)) if m > 1 else float("nan"),
         "variance_ratio": float(np.var(scaled, ddof=1) / target_avar) if m > 1 else float("nan"),

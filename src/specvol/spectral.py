@@ -32,9 +32,9 @@ def block_coefficients(obs: ObservationSet, grid: BlockGrid) -> SpectralCoeffici
     cells per block.
     """
     n = obs.n
-    if n * grid.h < 2:
+    if n < 2 * grid.K:    # n*h >= 2 in integers: in floats, 98 * (1/49) < 2
         raise ConfigurationError(
-            f"need >= 2 observations per block: n*h = {n * grid.h:.3f} with n={n}, K={grid.K}"
+            f"need >= 2 observations per block: n={n} < 2K with K={grid.K}"
         )
     y = _kernels.block_sums(obs.increments(), grid.K, grid.J)
     return SpectralCoefficients(grid=grid, y=y, source="from-observations", eps=obs.eps())

@@ -1,8 +1,9 @@
 """Reference implementations that check the closed forms of specvol.
 
 The localized basis of the block transform and its antiderivative, evaluated
-pointwise, and the brute-force partial sum of the Fisher series identity with
-a bound on its dropped tail.  No command or estimator calls these; the tests
+pointwise, the exact cell integral and the coefficients built from it, and
+the brute-force partial sum of the Fisher series identity with a bound on its
+dropped tail.  No command or estimator calls these; the tests
 compare specvol.spectral and specvol.fisher against them.
 """
 
@@ -59,6 +60,21 @@ def antiderivative_integral(j: int, k: int, h: float, a: float, b: float) -> flo
     u_hi = (hi - k * h) / h
     c = np.sqrt(2.0 * h) * h / (np.pi ** 2 * j ** 2)
     return float(-c * (np.cos(j * np.pi * u_hi) - np.cos(j * np.pi * u_lo)))
+
+
+def cell_oracle(dY, K, J):
+    """Coefficients y[j-1, k] of the increments dY, frequencies 1..J on K blocks:
+    the per-cell weights -n * antiderivative_integral, vectorised over (j, k, i)."""
+    n = dY.size
+    h = 1.0 / K
+    j = np.arange(1, J + 1, dtype=np.float64)[:, None, None]
+    k = np.arange(K)[None, :, None]
+    edges = np.arange(n + 1) / n
+    lo = np.clip(edges[:-1], k * h, (k + 1) * h)
+    hi = np.clip(edges[1:], k * h, (k + 1) * h)
+    c = np.sqrt(2.0 * h) * h / (np.pi ** 2 * j ** 2)
+    w = n * c * (np.cos(j * np.pi * (hi - k * h) / h) - np.cos(j * np.pi * (lo - k * h) / h))
+    return w @ dY
 
 
 def scale_series_partial(lam: float, jmax: int = 10 ** 6) -> float:

@@ -149,6 +149,20 @@ def test_bad_worker_count_names_its_source(tmp_path, command, flags, environ, na
     assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("fisher", ["--threads", "abc"], "error: --threads must be an integer >= 1, got 'abc'"),
+    ("fisher", ["--seed", "abc"], "error: argument --seed: invalid int value: 'abc'"),
+    ("bogus", [], "error: argument command: invalid choice: 'bogus'"),
+])
+def test_usage_errors_exit_1(tmp_path, command, flags, message):
+    # argparse alone would exit 2, the code of an acceptance failure
+    cfg = write_cfg(tmp_path, "cfg.json", {"schema_version": 1, "thetas": [1.0], "h0s": [2.0]})
+    proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out", *flags])
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field,value", [("h0_rule", [3]), ("J_rule", "bogus")])
 def test_rate_bad_rule_names_field(tmp_path, field, value):
     cfg = write_cfg(tmp_path, "rate.json", {

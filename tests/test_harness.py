@@ -172,6 +172,13 @@ def test_failures_are_fatal_beyond_one_percent(monkeypatch):
         run_iv_mc(small_cfg(replications=8))
 
 
+def test_two_cells_per_block_design_runs():
+    # from_h0 clamps K to n // 2, and 196 * (1/98) rounds below 2
+    cfg = small_cfg(n=196, delta=0.01, h0_rule=8.0, J_rule=4, replications=2)
+    assert resolve_design(cfg).main_grid.K == 98
+    assert run_iv_mc(cfg).summary["failed"] == 0
+
+
 def test_rate_regression_runs():
     cfg = small_cfg(replications=24, delta=0.5)
     with pytest.raises(ValueError):
@@ -261,14 +268,16 @@ def test_rate_regression_opens_one_pool(monkeypatch):
 
 
 def test_prepare_builds_what_a_replication_reads():
-    caches = [_kernels.class_plan, _kernels._cached_weights, _kernels._window_cells,
-              _kernels.block_normalizers, simulate._increment_sd]
+    caches = [_kernels.layout, _kernels.block_normalizers, simulate._increment_sd]
     for cache in caches:
         cache.cache_clear()
     cfgs = [replace(rate_cfg(), n=n) for n in RATE_NS]
     harness._prepare(cfgs)
-    assert _kernels._cached_weights.cache_info().currsize == 8
-    assert _kernels._window_cells.cache_info().currsize > 0
+    assert _kernels.layout.cache_info().currsize == 8
+    layouts = [_kernels.layout(cfg.n, grid.K, grid.J) for cfg in cfgs
+               for grid in (resolve_design(cfg).spot_grid, resolve_design(cfg).main_grid)]
+    assert all(lay.weights is not None for lay in layouts)
+    assert any(lay.cells is not None for lay in layouts)
     misses = [cache.cache_info().misses for cache in caches]
     for cfg in cfgs:
         assert not harness._run_replication(cfg, 0).failed

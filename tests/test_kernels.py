@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import antiderivative_integral
+from oracles import antiderivative_integral, cell_oracle
 from specvol import _kernels as kk
 
 
@@ -23,20 +23,6 @@ def brute_force_coefficients(dY, n, K, J):
                 total += w * dY[i - 1]
             out[j - 1, k] = total
     return out
-
-
-def cell_oracle(dY, K, J):
-    """The per-cell weights of brute_force_coefficients, vectorised over (j, k, i)."""
-    n = dY.size
-    h = 1.0 / K
-    j = np.arange(1, J + 1, dtype=np.float64)[:, None, None]
-    k = np.arange(K)[None, :, None]
-    edges = np.arange(n + 1) / n
-    lo = np.clip(edges[:-1], k * h, (k + 1) * h)
-    hi = np.clip(edges[1:], k * h, (k + 1) * h)
-    c = np.sqrt(2.0 * h) * h / (np.pi ** 2 * j ** 2)
-    w = n * c * (np.cos(j * np.pi * (hi - k * h) / h) - np.cos(j * np.pi * (lo - k * h) / h))
-    return w @ dY
 
 
 @contextmanager
@@ -62,25 +48,33 @@ def run_evaluators(dY, K, J):
     """
     n = dY.size
     plan = kk.class_plan(n, K)
-    scale = kk.coefficient_scales(n, K, J)
+    dst = plan.cw == 1 and J <= plan.bw
+    # The products never run a DST layout (1 < J <= bw): there they run
+    # frequencies 1..bw + 1 and keep the first J.  The DST runs J = 1 as the
+    # first frequency of J = 2 (bw >= 2).
+    Jp = plan.bw + 1 if dst and J > 1 else J
+
+    def products(name, **constants):
+        with patched(**constants):
+            lay = kk.layout.__wrapped__(n, K, Jp)    # uncached: built under the patched constants
+        assert lay.evaluator == name.removesuffix("-chunked")
+        assert (lay.weights is None) == name.endswith("-chunked")
+        return kk._class_products(lay, dY)[:J]
+
     out = {}
     for name, view_cells in (("views", 0), ("batched", n + 1)):
-        with patched(_VIEW_CELLS=view_cells):
-            out[name] = kk._class_products(plan, dY, J, scale)
-            # two weight rows per chunk: several class and frequency chunks
-            with patched(_PLAN_BYTES=0, _CHUNK_BYTES=2 * 8 * plan.cmax):
-                out[name + "-chunked"] = kk._class_products(plan, dY, J, scale)
-    if plan.cw == 1 and J <= plan.bw:
-        out["dst"] = kk._dst_sums(dY, K, J, scale)
+        out[name] = products(name, _VIEW_CELLS=view_cells)
+        # two weight rows per chunk: several class and frequency chunks
+        with patched(_CHUNK_BYTES=2 * 8 * plan.cmax):
+            out[name + "-chunked"] = products(name + "-chunked", _VIEW_CELLS=view_cells, _PLAN_BYTES=0)
+    if dst:
+        out["dst"] = kk._dst_sums(kk.layout(n, K, max(J, 2)), dY)[:J]
     return out
 
 
 def chosen_evaluator(n, K, J):
-    if kk.use_dst(n, K, J):
-        return "dst"
-    plan = kk.class_plan(n, K)
-    name = "batched" if kk._batched(plan) else "views"
-    return name if kk._fits_cache(plan, J) else name + "-chunked"
+    lay = kk.layout(n, K, J)
+    return lay.evaluator if lay.weights is not None else lay.evaluator + "-chunked"
 
 
 @pytest.mark.parametrize("n,K,J", [(64, 4, 3), (50, 7, 4), (33, 5, 2)])
@@ -132,31 +126,30 @@ def test_dense_chunks_match_one_chunk(rng, n, K, J):
     """Weights built a chunk at a time give the products of the cached weights."""
     dY = rng.standard_normal(n)
     whole = kk.block_sums(dY, K, J)
-    plan = kk.class_plan(n, K)
-    assert not kk.use_dst(n, K, J) and kk._fits_cache(plan, J)
-    with patched(_PLAN_BYTES=0, _CHUNK_BYTES=1):  # one class and one frequency per chunk
-        assert len(kk._chunks(plan, J)) == plan.cw * J
-        chunked = kk.block_sums(dY, K, J)
+    assert kk.layout(n, K, J).evaluator != "dst" and kk.layout(n, K, J).weights is not None
+    with patched(_PLAN_BYTES=0):
+        lay = kk.layout.__wrapped__(n, K, J)
+    with patched(_CHUNK_BYTES=1):  # one class and one frequency per chunk
+        assert len(kk._chunks(lay.plan, J)) == lay.plan.cw * J
+        chunked = kk._class_products(lay, dY)
     assert np.allclose(chunked, whole, rtol=1e-12, atol=1e-14 * np.max(np.abs(whole)))
 
 
 def test_weights_above_bound_are_not_cached(rng):
-    assert kk._fits_cache(kk.class_plan(2**18, 160), 64)          # 4.2 MB of weights
-    assert not kk._fits_cache(kk.class_plan(2**18, 260), 64)      # 34 MB
-    assert kk._PLAN_BYTES * kk._CACHED_LAYOUTS == 64 * 2**20      # the whole cache
+    assert kk.layout(2**18, 160, 64).weights is not None              # 4.2 MB of weights
+    assert kk.layout(2**18, 260, 64).weights is None                  # 34 MB
+    assert kk._PLAN_BYTES * kk._CACHED_LAYOUTS == 64 * 2**20          # the whole cache
     n, K, J = 1000, 7, 13
     plan = kk.class_plan(n, K)
-    kk._cached_weights.cache_clear()
     with patched(_PLAN_BYTES=8 * plan.cw * plan.cmax * J - 1):
-        kk.block_sums(rng.standard_normal(n), K, J)
-    assert kk._cached_weights.cache_info().currsize == 0
-    kk.block_sums(rng.standard_normal(n), K, J)
-    assert kk._cached_weights.cache_info().currsize == 1
-    # eight layouts are kept, so the cache holds at most 8 * _PLAN_BYTES
+        assert kk.layout.__wrapped__(n, K, J).weights is None
+    assert kk.layout.__wrapped__(n, K, J).weights.nbytes == 8 * plan.cw * plan.cmax * J
+    # eight layouts are kept, so the weights cached take at most 8 * _PLAN_BYTES
+    kk.layout.cache_clear()
     layouts = [(1000, 7, 13), (250, 40, 3), (4096, 40, 16)] + [(7 * m + 1, 7, 2) for m in range(40, 49)]
     for n, K, J in layouts:
         kk.block_sums(rng.standard_normal(n), K, J)
-    assert kk._cached_weights.cache_info().currsize == 8
+    assert kk.layout.cache_info().currsize == 8
 
 
 def test_nonfinite_increment_stays_in_its_blocks():
@@ -171,22 +164,28 @@ def test_nonfinite_increment_stays_in_its_blocks():
 
 
 def test_strategy_rule():
-    assert kk.use_dst(2**16, 32, 192)          # aligned main grid: every frequency at once
-    assert not kk.use_dst(2**18, 160, 64)      # five offset classes: class products
-    assert not kk.use_dst(2**16, 2560, 1)      # spot grid: one reduction per class
-    assert not kk.use_dst(64, 4, 1)            # aligned, but J = 1
-    assert not kk.use_dst(64, 32, 3)           # aligned, but J > bw = 2
-    assert not kk.use_dst(10**5, 3162, 15)     # 3162 classes of one block
+    def evaluator(n, K, J):
+        return kk.layout(n, K, J).evaluator
+
+    assert evaluator(2**16, 32, 192) == "dst"          # aligned main grid: every frequency at once
+    assert evaluator(2**18, 160, 64) != "dst"          # five offset classes: class products
+    assert evaluator(2**16, 2560, 1) != "dst"          # spot grid: one reduction per class
+    assert evaluator(64, 4, 1) != "dst"                # aligned, but J = 1
+    assert evaluator(64, 32, 3) != "dst"               # aligned, but J > bw = 2
+    assert evaluator(10**5, 3162, 15) != "dst"         # 1581 classes of two blocks
 
 
 def test_view_rule():
     # classes of at least 4096 cells run on strided views, smaller ones are batched
-    assert not kk._batched(kk.class_plan(2**16, 2560))   # 5 classes of 13107 cells
-    assert not kk._batched(kk.class_plan(2**18, 160))    # 5 classes of 52429 cells
-    assert not kk._batched(kk.class_plan(4096, 4096))    # one class of 4096 cells
-    assert kk._batched(kk.class_plan(4096, 20))          # 5 classes of 819 cells
-    assert kk._batched(kk.class_plan(2**16, 2**15 + 1))  # 32769 classes of 2 cells
-    assert kk._batched(kk.class_plan(100003, 3162))      # 3162 classes of 32 cells
+    def evaluator(n, K):
+        return kk.layout(n, K, 1).evaluator
+
+    assert evaluator(2**16, 2560) == "views"           # 5 classes of 13107 cells
+    assert evaluator(2**18, 160) == "views"            # 5 classes of 52429 cells
+    assert evaluator(4096, 4096) == "views"            # one class of 4096 cells
+    assert evaluator(4096, 20) == "batched"            # 5 classes of 819 cells
+    assert evaluator(2**16, 2**15 + 1) == "batched"    # 32769 classes of 2 cells
+    assert evaluator(100003, 3162) == "batched"        # 3162 classes of 32 cells
 
 
 def direct_edges(n, K, k):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import antiderivative_integral, basis_antiderivative, basis_cos
+from oracles import antiderivative_integral, basis_antiderivative, basis_cos, cell_oracle
 from specvol import _kernels
 from specvol import volmodel as vm
 from specvol.simulate import (
@@ -100,9 +100,19 @@ def test_linearity(rng):
 
 
 def test_too_few_cells_per_block():
-    obs = ObservationSet(n=8, delta=0.0, values=np.zeros(8), seed=0)
-    with pytest.raises(ConfigurationError):
-        block_coefficients(obs, BlockGrid(K=8, J=1, eps=0.1))
+    for n, K in [(8, 8), (97, 49)]:
+        obs = ObservationSet(n=n, delta=0.0, values=np.zeros(n), seed=0)
+        with pytest.raises(ConfigurationError, match=f"n={n} < 2K with K={K}"):
+            block_coefficients(obs, BlockGrid(K=K, J=1, eps=0.1))
+
+
+@pytest.mark.parametrize("n,K", [(98, 49), (196, 98)])
+def test_two_cells_per_block(rng, n, K):
+    # n*h = 2 exactly, though n * (1/K) rounds below 2 in floating point
+    obs = ObservationSet(n=n, delta=0.0, values=rng.standard_normal(n), seed=0)
+    y = block_coefficients(obs, BlockGrid(K=K, J=3, eps=0.1)).y
+    want = cell_oracle(obs.increments(), K, 3)
+    assert np.max(np.abs(y - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_grids_share_read_only_increments(monkeypatch):
