@@ -54,7 +54,6 @@ from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy import fft
 
 # Cells per class (n / cw) from which classes run one at a time on strided
 # views; smaller classes are batched (the gather copies dY, each view costs a
@@ -203,6 +202,7 @@ def _class_products(lay: Layout, dY: np.ndarray) -> np.ndarray:
 
 
 def _dst_sums(lay: Layout, dY: np.ndarray) -> np.ndarray:
+    from scipy import fft  # deferred: importing scipy costs most of a CLI start
     S = fft.dst(dY.reshape(lay.plan.g, lay.plan.bw), type=2, axis=1)[:, :lay.weights.size].T
     return lay.weights[:, None] * S
 

@@ -3,9 +3,9 @@
 Each command reads its config against a table of the fields it accepts.  A
 malformed file, a missing or unknown field, or a value of the wrong type or
 range ends the run before any work, with a message that names the field's
-JSON path.  The spot, iv, mc-iv and rate commands build their
-harness.ExperimentConfig with ExperimentConfig.from_mapping, so their
-defaults are those of the dataclass.
+JSON path.  The spot, iv, mc-iv and rate tables take their
+harness.ExperimentConfig fields from the dataclass, which checks them and
+supplies their defaults; volmodel.spec_from_json reads every curve.
 
 Exit codes: 0 success, 1 config or validation error (the message names the
 offending field or parse location) or a file that cannot be read or written
@@ -20,14 +20,13 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import equivalence, estimators, fisher, harness, simulate, spectral, volmodel
-from .harness import _is_integer, _is_positive
-from .volmodel import ConfigError
+from .volmodel import ConfigError, _is_integer, _is_real
 
 SCHEMA_VERSION = 1
 
@@ -48,7 +47,7 @@ def _integer(least, below=np.inf, want=None):
 
 
 _COUNT = _integer(1)
-_POSITIVE = _check(_is_positive, "a positive number")
+_POSITIVE = _check(lambda v: _is_real(v, 0), "a positive number")
 _SEED = _integer(0, 2 ** 64, "an integer in [0, 2^64)")     # the seeds simulate.rng_for takes
 _VERSION = (_check(lambda v: v == SCHEMA_VERSION and _is_integer(v), str(SCHEMA_VERSION)), True)
 
@@ -61,6 +60,11 @@ def _list(item, least, most=None):
             raise ConfigError(path, f"must be {want}, got {value!r}")
         return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
     return check
+
+
+def _then(check, after):
+    """The check that runs check, then after on the value check returns."""
+    return lambda value, path: after(check(value, path), path)
 
 
 def _object(table):
@@ -82,18 +86,6 @@ def _object(table):
     return check
 
 
-def _spec(value, path):
-    """A volatility curve in volmodel.spec_from_json form, parsed."""
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"must be an object, got {value!r}")
-    try:
-        return volmodel.spec_from_json(value)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}.{exc.field}", exc.problem) from None
-    except ValueError as exc:    # a value outside the curve's range
-        raise ConfigError(path, str(exc)) from None
-
-
 _COMMANDS = {}   # command name -> (config reader, run(data, out, threads) -> exit code)
 
 
@@ -106,15 +98,18 @@ def _command(name, **table):
     return register
 
 
-_DESIGN = {  # the optional design fields of an ExperimentConfig
-    name: (None, False) for name in
-    ("h0_rule", "J_rule", "bandwidth_rule", "bandwidth_scale", "clip_floor", "noise_convention")
-}
-_ONE_RECORD = {"spec": (_spec, True), "n": (None, True), "delta": (None, True),
-               "seed": (_SEED, True), **_DESIGN}
-_SLOPE_RANGE = (_list(_check(lambda v: _is_integer(v) or isinstance(v, float), "a number"), 2, 2),
-                False)
-_CONFIG_FIELDS = {f.name for f in fields(harness.ExperimentConfig)}
+def _experiment_fields(*left_out, require=()):
+    """The table of the ExperimentConfig fields a config may set, less left_out.
+    A field is required if it has no default or is in require.  The worker
+    count comes from --threads, and the spot curve's points from grid_points."""
+    return {f.name: (volmodel.spec_from_json if f.name == "spec" else None,
+                     f.default is MISSING or f.name in require)
+            for f in fields(harness.ExperimentConfig)
+            if f.name not in ("parallelism", "spot_eval_points", *left_out)}
+
+
+_ONE_RECORD = {**_experiment_fields("replications", "master_seed"), "seed": (_SEED, True)}
+_SLOPE_RANGE = (_list(_check(_is_real, "a number"), 2, 2), False)
 
 
 def _load_config(path: str, command: str, seed=None) -> dict:
@@ -136,7 +131,7 @@ def _load_config(path: str, command: str, seed=None) -> dict:
 
 def _experiment(data, path="$", **given) -> harness.ExperimentConfig:
     """The ExperimentConfig of the config fields in data plus the given ones."""
-    mapping = {key: value for key, value in data.items() if key in _CONFIG_FIELDS}
+    mapping = {key: data[key] for key in data.keys() & _experiment_fields().keys()}
     return harness.ExperimentConfig.from_mapping({**mapping, **given}, path)
 
 
@@ -159,9 +154,8 @@ def _verdict(payload, acceptance, checks) -> int:
     return 0 if all(checks.values()) else 2
 
 
-@_command("simulate", spec=(_spec, True), n=(_COUNT, True),
-          delta=(_check(lambda v: _is_positive(v) or (v == 0 and not isinstance(v, bool)), "a number >= 0"),
-                 True),
+@_command("simulate", spec=(volmodel.spec_from_json, True), n=(_COUNT, True),
+          delta=(_check(lambda v: _is_real(v) and v >= 0, "a number >= 0"), True),
           seed=(_SEED, True))
 def _cmd_simulate(data, out, threads) -> int:
     obs = simulate.simulate_observations(data["spec"], data["n"], data["delta"], data["seed"])
@@ -170,7 +164,7 @@ def _cmd_simulate(data, out, threads) -> int:
     return 0
 
 
-@_command("spectral", spec=(_spec, True), n=(_COUNT, True), delta=(_POSITIVE, True),
+@_command("spectral", spec=(volmodel.spec_from_json, True), n=(_COUNT, True), delta=(_POSITIVE, True),
           seed=(_SEED, True), h0=(_POSITIVE, True), J=(_COUNT, True))
 def _cmd_spectral(data, out, threads) -> int:
     obs = simulate.simulate_observations(data["spec"], data["n"], data["delta"], data["seed"])
@@ -189,13 +183,12 @@ def _one_record(data):
     return cfg, harness.resolve_design(cfg), obs
 
 
-@_command("spot", **_ONE_RECORD, bandwidth=(_POSITIVE, False), grid_points=(_COUNT, False))
+@_command("spot", **_ONE_RECORD, grid_points=(_COUNT, False))
 def _cmd_spot(data, out, threads) -> int:
     cfg, design, obs = _one_record(data)
     coeffs = spectral.block_coefficients(obs, design.spot_grid)
-    b = data.get("bandwidth", design.bandwidth)
     t_grid = np.linspace(0.0, 1.0, data.get("grid_points", cfg.spot_eval_points))
-    curve = estimators.spot_estimate(coeffs, cfg.n, cfg.delta, b, t_grid, cfg.clip_floor)
+    curve = estimators.spot_estimate(coeffs, cfg.n, cfg.delta, design.bandwidth, t_grid, cfg.clip_floor)
     _write_json(out, {
         "t": curve.grid_points.tolist(),
         "estimate": curve.estimates.tolist(),
@@ -203,7 +196,7 @@ def _cmd_spot(data, out, threads) -> int:
         "clip_floor": curve.clip_floor,
         "n": cfg.n, "delta": cfg.delta, "seed": data["seed"],
     })
-    print(f"spot: wrote {t_grid.size}-point curve to {out} (bandwidth={b:.4f})")
+    print(f"spot: wrote {t_grid.size}-point curve to {out} (bandwidth={curve.bandwidth:.4f})")
     return 0
 
 
@@ -220,8 +213,7 @@ def _cmd_iv(data, out, threads) -> int:
     return 0
 
 
-@_command("mc-iv", spec=(_spec, True), n=(None, True), delta=(None, True),
-          replications=(None, True), master_seed=(None, True), **_DESIGN,
+@_command("mc-iv", **_experiment_fields(require=("master_seed",)),
           per_replication_csv=(_check(lambda v: isinstance(v, str), "a string"), False),
           acceptance=(_object({
               "variance_rtol": (_POSITIVE, False),
@@ -249,23 +241,14 @@ def _cmd_mc_iv(data, out, threads) -> int:
     return rc
 
 
-@_command("rate", base=(_object({
-              "spec": (_spec, True), "delta": (None, True), "replications": (None, True),
-              "master_seed": (None, True), **_DESIGN,
-          }), True),
+@_command("rate", base=(_object(_experiment_fields("n", require=("master_seed",))), True),
           n_list=(_list(_integer(harness.MIN_N), 4), True),
           acceptance=(_object({"iv_slope_range": _SLOPE_RANGE, "spot_slope_range": _SLOPE_RANGE}),
                       False))
 def _cmd_rate(data, out, threads) -> int:
     cfg = _experiment(data["base"], "$.base", n=data["n_list"][0], parallelism=threads)
     report = harness.run_rate_regression(cfg, data["n_list"])
-    payload = {
-        "n_values": list(report.n_values),
-        "iv_rmse": list(report.iv_rmse),
-        "spot_sup": list(report.spot_sup),
-        "iv_slope": report.iv_slope,
-        "spot_slope": report.spot_slope,
-    }
+    payload = {key: value for key, value in asdict(report).items() if key != "summaries"}
     acceptance = data.get("acceptance", {})
     checks = {}
     for slope in ("iv_slope", "spot_slope"):
@@ -324,7 +307,8 @@ def _cmd_hellinger(data, out, threads) -> int:
     return 0 if all_ok else 2
 
 
-@_command("decay", spec=(_spec, True), delta=(_POSITIVE, True), n_list=(_list(_COUNT, 2), True))
+@_command("decay", spec=(_then(volmodel.spec_from_json, equivalence.decay_curve), True),
+          delta=(_POSITIVE, True), n_list=(_then(_list(_integer(2), 2), equivalence.decay_sizes), True))
 def _cmd_decay(data, out, threads) -> int:
     result = equivalence.hellinger_decay(data["spec"], data["delta"], data["n_list"])
     rows = []

@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from . import volmodel
-from .volmodel import VolatilitySpec
+from .volmodel import ConfigError, VolatilitySpec
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -56,23 +55,20 @@ class GaussianLaw:
         return self.mean.size
 
 
-def _chol_or_report(cov: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return cholesky(cov, lower=True)
-    except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(cov)
-        raise NotPositiveDefiniteError(
-            f"{what} is not positive definite: eigenvalue range "
-            f"[{eigs.min():.3e}, {eigs.max():.3e}], condition {eigs.max() / max(eigs.min(), 1e-300):.3e}"
-        ) from None
-
-
 def _whiten(p: GaussianLaw, q: GaussianLaw):
     """L, the lower Cholesky factor of Sigma1, and the whitened difference
     E = L^{-1} (Sigma2 - Sigma1) L^{-T}."""
+    from scipy.linalg import cholesky, solve_triangular  # deferred here and below: it costs 0.3 s
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    L = _chol_or_report(p.cov, "first covariance")
+    try:
+        L = cholesky(p.cov, lower=True)
+    except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvalsh(p.cov)
+        raise NotPositiveDefiniteError(
+            "first covariance is not positive definite: eigenvalue range "
+            f"[{eigs.min():.3e}, {eigs.max():.3e}], condition {eigs.max() / max(eigs.min(), 1e-300):.3e}"
+        ) from None
     half = solve_triangular(L, q.cov - p.cov, lower=True)
     E = solve_triangular(L, half.T, lower=True)
     return L, 0.5 * (E + E.T)
@@ -94,6 +90,7 @@ def hellinger_exact(p: GaussianLaw, q: GaussianLaw) -> float:
     log_bc = -0.5 * np.sum(np.log1p((mu / (r + 1.0)) ** 2 / (2.0 * r)))
     dmu = q.mean - p.mean
     if np.any(dmu != 0.0):
+        from scipy.linalg import cho_factor, cho_solve
         avg = 0.5 * (p.cov + q.cov)
         c, low = cho_factor(avg, lower=True)
         log_bc -= 0.125 * float(dmu @ cho_solve((c, low), dmu))
@@ -104,6 +101,7 @@ def hellinger_exact(p: GaussianLaw, q: GaussianLaw) -> float:
 def hellinger_upper_bound(p: GaussianLaw, q: GaussianLaw) -> float:
     """Explicit upper bound on H^2; exact-dominating for pure mean or pure
     covariance perturbations."""
+    from scipy.linalg import solve_triangular
     L, E = _whiten(p, q)
     z = solve_triangular(L, q.mean - p.mean, lower=True)
     return float(0.25 * (z @ z) + 2.0 * np.sum(E ** 2))
@@ -148,14 +146,27 @@ class DecayResult:
     slope: float
 
 
+def decay_curve(spec: VolatilitySpec, path: str = "spec") -> VolatilitySpec:
+    """spec if it is a Constant or a Sinusoid, else ConfigError naming path.kind."""
+    if not isinstance(spec, (volmodel.Constant, volmodel.Sinusoid)):
+        kind = volmodel.spec_to_json(spec)["kind"]
+        raise ConfigError(f"{path}.kind", f"must be 'constant' or 'sinusoid' for a decay sweep, got {kind!r}")
+    return spec
+
+
+def decay_sizes(n_list, path: str = "n_list") -> list:
+    """n_list as ints if they strictly increase, else ConfigError naming path."""
+    ns = [int(n) for n in n_list]
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(path, f"must be strictly increasing, got {ns}")
+    return ns
+
+
 def hellinger_decay(spec: VolatilitySpec, delta: float, n_list) -> DecayResult:
     """H^2 between the two coupling covariances along increasing n, with the
     fitted log-log slope and the Hilbert-Schmidt upper bound per n."""
-    if not isinstance(spec, (volmodel.Constant, volmodel.Sinusoid)):
-        raise ValueError("decay experiment expects a Constant or Sinusoid curve")
-    ns = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n values must be strictly increasing")
+    decay_curve(spec)
+    ns = decay_sizes(n_list)
     h2s, bounds = [], []
     for n in ns:
         p = observation_covariance(spec, n, delta)

@@ -15,8 +15,7 @@ the inverse-square-variance weights
     w_j(s2) = (s2 + pi^2 j^2 / h0^2)^{-2} / sum_l (s2 + pi^2 l^2 / h0^2)^{-2}
 
 evaluated at a clipped plug-in spot curve, subtracting the noise level
-eps^2 = delta^2/n from each squared coefficient (a switch selects the
-literal delta/n variant).
+eps^2 = delta^2/n from each squared coefficient.
 """
 
 from __future__ import annotations
@@ -150,10 +149,9 @@ def integrated_volatility_estimate(
 ) -> IVEstimate:
     """Weighted multi-frequency estimator of int_0^1 sigma^2.
 
-    value = sum_k h sum_j w_j(spot_k) * pi^2 j^2 / h^2 * (y_jk^2 - noise)
-    with noise = delta^2/n ("eps2", the default) or the literal delta/n
-    ("literal").  avar_hat is 8 delta int sigma_hat^3 evaluated on the
-    clipped spot curve.
+    value = sum_k h sum_j w_j(spot_k) * pi^2 j^2 / h^2 * (y_jk^2 - delta^2/n).
+    noise_convention must be "eps2", the noise level delta^2/n.  avar_hat is
+    8 delta int sigma_hat^3 evaluated on the clipped spot curve.
     """
     if coeffs.grid != grid:
         raise ConfigurationError("coefficients were computed on a different grid")
@@ -161,16 +159,12 @@ def integrated_volatility_estimate(
         spot.grid_points, np.arange(grid.K) * grid.h, atol=1e-9
     ):
         raise ConfigurationError("spot curve must be evaluated at the grid block positions")
-    if noise_convention == "eps2":
-        noise = delta ** 2 / n
-    elif noise_convention == "literal":
-        noise = delta / n
-    else:
+    if noise_convention != "eps2":
         raise ValueError(f"unknown noise convention {noise_convention!r}")
     h, J = grid.h, grid.J
     W = frequency_weight_matrix(spot.estimates, grid.h0, J)
     cj = (np.pi ** 2 / h ** 2) * np.arange(1, J + 1, dtype=np.float64) ** 2
-    per_block = np.einsum("jk,j,jk->k", W, cj, coeffs.y ** 2 - noise)
+    per_block = np.einsum("jk,j,jk->k", W, cj, coeffs.y ** 2 - delta ** 2 / n)
     value = h * float(np.sum(per_block))
     avar = asymptotic_variance(spot, delta)
     target = volmodel.true_integrated_volatility(true_spec) if true_spec is not None else None

@@ -16,7 +16,6 @@ bound, which check scale_series_closed, live in tests/oracles.py.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import zeta
 
 # Below this the closed form loses ~6 digits to cancellation (the numerator is
 # O(lam^6) assembled from O(lam^2) pieces); the alternating zeta series
@@ -25,6 +24,7 @@ _SERIES_CUTOFF = 0.5
 
 
 def _series_small(lam: float) -> float:
+    from scipy.special import zeta  # deferred: importing scipy costs most of a CLI start
     total = 0.0
     m = 0
     while True:

@@ -15,7 +15,6 @@ the workers inherit it instead of building it on their first replication.
 from __future__ import annotations
 
 import multiprocessing
-import numbers
 import pickle
 import time
 from contextlib import contextmanager, suppress
@@ -30,20 +29,12 @@ from . import _kernels, volmodel
 from .estimators import asymptotic_variance, integrated_volatility_estimate, spot_estimate
 from .simulate import BlockGrid, ObservationSet, _increment_sd, simulate_observations
 from .spectral import block_coefficients
-from .volmodel import ConfigError, VolatilitySpec
+from .volmodel import ConfigError, VolatilitySpec, _is_integer, _is_real
 
 KS_CRITICAL_COEF = 1.63  # level-0.01 coefficient: reject when KS > 1.63/sqrt(M)
 
 
 MIN_N = 16  # the least number of observations a config may ask for
-
-
-def _is_integer(value, least=-np.inf, below=np.inf) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and least <= value < below
-
-
-def _is_positive(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value > 0
 
 
 @dataclass(frozen=True)
@@ -65,18 +56,18 @@ class ExperimentConfig:
     def __post_init__(self):
         checks = (
             ("n", _is_integer(self.n, MIN_N), f"an integer >= {MIN_N}"),
-            ("delta", _is_positive(self.delta), "a positive number"),
+            ("delta", _is_real(self.delta, 0), "a positive number"),
             ("replications", _is_integer(self.replications, 1), "an integer >= 1"),
-            ("h0_rule", self.h0_rule == "log" or _is_positive(self.h0_rule), 'a positive number or "log"'),
+            ("h0_rule", self.h0_rule == "log" or _is_real(self.h0_rule, 0), 'a positive number or "log"'),
             ("J_rule", self.J_rule == "loglog" or _is_integer(self.J_rule, 1), 'an integer >= 1 or "loglog"'),
-            ("bandwidth_rule", self.bandwidth_rule == "rate" or _is_positive(self.bandwidth_rule),
+            ("bandwidth_rule", self.bandwidth_rule == "rate" or _is_real(self.bandwidth_rule, 0),
              'a positive number or "rate"'),
-            ("bandwidth_scale", _is_positive(self.bandwidth_scale), "a positive number"),
+            ("bandwidth_scale", _is_real(self.bandwidth_scale, 0), "a positive number"),
             # replication_seed shifts it left by 32 bits into rng_for's 64-bit seed
             ("master_seed", _is_integer(self.master_seed, 0, 2 ** 32), "an integer in [0, 2^32)"),
             ("parallelism", _is_integer(self.parallelism, 1), "an integer >= 1"),
-            ("clip_floor", _is_positive(self.clip_floor), "a positive number"),
-            ("noise_convention", self.noise_convention in ("eps2", "literal"), '"eps2" or "literal"'),
+            ("clip_floor", _is_real(self.clip_floor, 0), "a positive number"),
+            ("noise_convention", self.noise_convention == "eps2", '"eps2"'),
         )
         for name, ok, want in checks:
             if not ok:
@@ -156,6 +147,10 @@ def estimate_iv(cfg: ExperimentConfig, design: ResolvedDesign, obs: ObservationS
     return est, spot_coeffs
 
 
+# a valid config may fail with a ValueError (a bad design, an empty window, avar_hat <= 0) or overflow
+_NUMERIC_FAILURES = (ValueError, ArithmeticError)
+
+
 def _run_replication(cfg: ExperimentConfig, index: int) -> ReplicationResult:
     design = resolve_design(cfg)
     try:
@@ -171,7 +166,7 @@ def _run_replication(cfg: ExperimentConfig, index: int) -> ReplicationResult:
         return ReplicationResult(
             index=index, iv_value=est.value, avar_hat=est.avar_hat, spot_sup_error=sup_err,
         )
-    except Exception as exc:  # replication-level failures are recorded, not raised
+    except _NUMERIC_FAILURES as exc:   # recorded; a programming error raises
         return ReplicationResult(index=index, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -206,7 +201,7 @@ def _pool(cfgs):
     # a task the pool cannot pickle hangs its shutdown, so fail before the fork
     pickle.dumps(cfgs)
     # state that fails to build fails every replication, which records it
-    with suppress(Exception):
+    with suppress(*_NUMERIC_FAILURES):
         _prepare(cfgs)
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
     try:

@@ -257,34 +257,48 @@ def spec_to_json(spec: VolatilitySpec) -> dict:
     raise TypeError(f"not a VolatilitySpec: {spec!r}")
 
 
-def _typed(value, name, kind):
+# the numeric predicates of every config check; a bool is not a number here
+def _is_integer(value, least=-math.inf, below=math.inf) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and least <= value < below
+
+
+def _is_real(value, above=None) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (above is None or value > above)
+
+
+def _typed(value, path, kind):
     """value as kind: float, int, or a tuple of floats.  A bool, a string or
-    (for an int) a float raises ConfigError naming the field name."""
+    (for an int) a float raises ConfigError naming path."""
     if kind is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(name, f"must be a list of numbers, got {value!r}")
-        return tuple(_typed(v, f"{name}[{i}]", float) for i, v in enumerate(value))
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
-        raise ConfigError(name, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+            raise ConfigError(path, f"must be a list of numbers, got {value!r}")
+        return tuple(_typed(v, f"{path}[{i}]", float) for i, v in enumerate(value))
+    if not (_is_integer(value) if kind is int else _is_real(value)):
+        raise ConfigError(path, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     return kind(value)
 
 
-def spec_from_json(data) -> VolatilitySpec:
-    """The curve of a spec_to_json mapping.  A missing, unknown or mistyped
-    field raises ConfigError with the field's name; a value outside the
-    curve's range raises ValueError."""
+def spec_from_json(data, path: str = "$") -> VolatilitySpec:
+    """The curve of a spec_to_json mapping found at JSON path path.  A value
+    that is not an object, a missing, unknown or mistyped field, or a value
+    outside the curve's range raises ConfigError naming the path."""
+    if not isinstance(data, dict):
+        raise ConfigError(path, f"must be an object, got {data!r}")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise ConfigError("kind", f"must be one of {', '.join(map(repr, _KINDS))}, got {kind!r}")
+        raise ConfigError(f"{path}.kind", f"must be one of {', '.join(map(repr, _KINDS))}, got {kind!r}")
     cls = _KINDS[kind]
     types = get_type_hints(cls)
     unknown = sorted(data.keys() - types.keys() - {"kind"})
     if unknown:
-        raise ConfigError(unknown[0], "unknown field")
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown field")
     args = {}
     for field in fields(cls):
         if field.name in data:
-            args[field.name] = _typed(data[field.name], field.name, types[field.name])
+            args[field.name] = _typed(data[field.name], f"{path}.{field.name}", types[field.name])
         elif field.default is MISSING:
-            raise ConfigError(field.name, "required field missing")
-    return cls(**args)
+            raise ConfigError(f"{path}.{field.name}", "required field missing")
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None

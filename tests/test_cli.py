@@ -256,6 +256,13 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
 CONFIGS = Path(__file__).parents[1] / "configs"
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectral", "spot", "iv", "fisher", "hellinger",
+                                     "decay", "counterexample"])
+def test_fast_shipped_configs_run(tmp_path, command):
+    # mc-iv and rate run 1000 and 400 replications; the acceptance suite covers those
+    assert run([command, "--config", CONFIGS / f"{command}.json", "--out", tmp_path / "out"]) == 0
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
 def test_shipped_configs_load(path):
     command = "mc-iv" if path.stem.startswith("mc_iv") else path.stem
@@ -269,6 +276,7 @@ def test_shipped_configs_load(path):
 SINE = {"kind": "sinusoid", "base": 1.0, "amplitude": 0.5, "cycles": 3, "phase": 0.7}
 MC_BASE = {"schema_version": 1, "spec": CONST, "n": 1024, "delta": 0.3,
            "replications": 4, "master_seed": 4, "h0_rule": 8.0, "J_rule": 16}
+DECAY_BASE = {"schema_version": 1, "spec": CONST, "delta": 0.5, "n_list": [64, 128]}
 RATE_BASE = {"schema_version": 1, "n_list": [256, 512, 1024, 2048],
              "base": {"spec": CONST, "delta": 0.5, "replications": 4, "master_seed": 2}}
 
@@ -297,11 +305,16 @@ RATE_BASE = {"schema_version": 1, "n_list": [256, 512, 1024, 2048],
      "$.spec.values[1]"),
     ("mc-iv", dict(MC_BASE, spec={"kind": "piecewise_constant", "values": 1.0}), "$.spec.values"),
     ("mc-iv", dict(MC_BASE, spec={"kind": "flat"}), "$.spec.kind"),
+    ("decay", dict(DECAY_BASE, n_list=[128, 64]), "$.n_list"),
+    ("decay", dict(DECAY_BASE, n_list=[1, 64]), "$.n_list[0]"),
+    ("decay", dict(DECAY_BASE, spec={"kind": "piecewise_constant", "values": [1.0, 4.0]}),
+     "$.spec.kind"),
 ], ids=["rate-missing-level", "slope-range-length", "rate-small-n", "mc-iv-small-n",
         "unknown-field", "parallelism-field", "unknown-spec-field", "acceptance-type",
         "missing-field", "fractional-cycles", "float-cycles", "fractional-oscillating-n",
         "bool-level", "string-level", "null-phase", "bool-amplitude", "string-block-value",
-        "values-not-list", "unknown-kind"])
+        "values-not-list", "unknown-kind", "decay-decreasing-n", "decay-small-n",
+        "decay-piecewise"])
 def test_bad_config_names_path(tmp_path, command, payload, field):
     cfg = write_cfg(tmp_path, "bad.json", payload)
     proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out.json"])
@@ -361,9 +374,11 @@ def test_unwritable_output_exit_1(tmp_path, target):
 
 
 def test_cli_import_leaves_out_jsonschema():
+    # and the scipy modules, which a command imports when it first calls into them
     src = str(Path(specvol.__file__).parents[1])
-    code = "import sys, specvol.cli; print('jsonschema' in sys.modules)"
+    heavy = ["jsonschema", *(f"scipy.{m}" for m in ("linalg", "fft", "special", "stats", "integrate"))]
+    code = f"import sys, specvol.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

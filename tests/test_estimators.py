@@ -245,13 +245,12 @@ def test_iv_noise_convention_switch():
     spot = oracle_spot(grid, np.ones(4))
     n, delta = 400, 1.0
     a = est.integrated_volatility_estimate(coeffs, spot, grid, delta, n, noise_convention="eps2")
-    b = est.integrated_volatility_estimate(coeffs, spot, grid, delta, n, noise_convention="literal")
-    # delta = 1 makes both conventions identical
-    assert a.value == pytest.approx(b.value, abs=1e-15)
-    c = est.integrated_volatility_estimate(coeffs, spot, grid, 0.5, n, noise_convention="literal")
-    assert c.value != pytest.approx(a.value, abs=1e-12)
-    with pytest.raises(ValueError):
-        est.integrated_volatility_estimate(coeffs, spot, grid, delta, n, noise_convention="bogus")
+    b = est.integrated_volatility_estimate(coeffs, spot, grid, delta, n)
+    assert a.value == b.value
+    # the delta/n variant is gone: it is 1/delta times the noise level delta^2/n
+    for convention in ("literal", "bogus"):
+        with pytest.raises(ValueError, match="unknown noise convention"):
+            est.integrated_volatility_estimate(coeffs, spot, grid, delta, n, noise_convention=convention)
 
 
 def test_plugin_stability():

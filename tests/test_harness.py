@@ -164,12 +164,29 @@ def test_failures_are_fatal_beyond_one_percent(monkeypatch):
 
     def flaky(spec, n, delta, seed):
         if seed % 4 == 1:
-            raise RuntimeError("injected failure")
+            raise ValueError("injected failure")
         return real(spec, n, delta, seed)
 
     monkeypatch.setattr(harness, "simulate_observations", flaky)
     with pytest.raises(TooManyFailuresError):
         run_iv_mc(small_cfg(replications=8))
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_programming_errors_raise(monkeypatch, parallelism):
+    # only numeric failures count against the 1% budget; a TypeError is a bug
+    real = harness.simulate_observations
+
+    def broken(spec, n, delta, seed):
+        if seed % 4 == 1:
+            raise TypeError("injected bug")
+        return real(spec, n, delta, seed)
+
+    # patched before the pool forks, so the workers inherit it
+    monkeypatch.setattr(harness, "simulate_observations", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        run_iv_mc(small_cfg(replications=8, parallelism=parallelism))
+    assert multiprocessing.active_children() == []
 
 
 def test_two_cells_per_block_design_runs():
@@ -289,7 +306,7 @@ def test_failure_mid_regression_shuts_the_pool(monkeypatch):
 
     def fails_at_1024(spec, n, delta, seed):
         if n == 1024:
-            raise RuntimeError("injected failure")
+            raise ValueError("injected failure")
         return real(spec, n, delta, seed)
 
     # patched before the pool forks, so the workers inherit it

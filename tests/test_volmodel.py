@@ -151,14 +151,18 @@ def test_json_errors():
     with pytest.raises(ValueError):
         vm.spec_from_json({"kind": "mystery"})
     for data, field in [
-        ({"kind": "sinusoid", "base": 1.0, "amplitude": 0.5, "cycles": 2.7}, "cycles"),
-        ({"kind": "oscillating", "n": 64.0}, "n"),
-        ({"kind": "constant", "level": True}, "level"),
-        ({"kind": "constant"}, "level"),
-        ({"kind": "piecewise_constant", "values": [1.0, None]}, "values[1]"),
-        ({"kind": "constant", "level": 1.0, "lvl": 2.0}, "lvl"),
-        ({"no": "kind"}, "kind"),
+        ({"kind": "sinusoid", "base": 1.0, "amplitude": 0.5, "cycles": 2.7}, "$.cycles"),
+        ({"kind": "oscillating", "n": 64.0}, "$.n"),
+        ({"kind": "constant", "level": True}, "$.level"),
+        ({"kind": "constant"}, "$.level"),
+        ({"kind": "piecewise_constant", "values": [1.0, None]}, "$.values[1]"),
+        ({"kind": "constant", "level": 1.0, "lvl": 2.0}, "$.lvl"),
+        ({"no": "kind"}, "$.kind"),
+        ([1.0], "$"),
+        ({"kind": "constant", "level": -1.0}, "$"),
     ]:
         with pytest.raises(vm.ConfigError) as info:
             vm.spec_from_json(data)
         assert info.value.field == field
+    with pytest.raises(vm.ConfigError, match=r"config field \$\.base\.spec\.level: "):
+        vm.spec_from_json({"kind": "constant"}, "$.base.spec")
