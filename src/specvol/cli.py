@@ -101,7 +101,7 @@ def _command(name, **table):
 def _experiment_fields(*left_out, require=()):
     """The table of the ExperimentConfig fields a config may set, less left_out.
     A field is required if it has no default or is in require.  The worker
-    count comes from --threads, and the spot curve's points from grid_points."""
+    count comes from --threads, and only the spot command sets spot_eval_points."""
     return {f.name: (volmodel.spec_from_json if f.name == "spec" else None,
                      f.default is MISSING or f.name in require)
             for f in fields(harness.ExperimentConfig)
@@ -109,7 +109,7 @@ def _experiment_fields(*left_out, require=()):
 
 
 _ONE_RECORD = {**_experiment_fields("replications", "master_seed"), "seed": (_SEED, True)}
-_SLOPE_RANGE = (_list(_check(_is_real, "a number"), 2, 2), False)
+_SLOPE_RANGE = (_list(_check(_is_real, "a finite number"), 2, 2), False)
 
 
 def _load_config(path: str, command: str, seed=None) -> dict:
@@ -131,7 +131,7 @@ def _load_config(path: str, command: str, seed=None) -> dict:
 
 def _experiment(data, path="$", **given) -> harness.ExperimentConfig:
     """The ExperimentConfig of the config fields in data plus the given ones."""
-    mapping = {key: data[key] for key in data.keys() & _experiment_fields().keys()}
+    mapping = {key: data[key] for key in data.keys() & {f.name for f in fields(harness.ExperimentConfig)}}
     return harness.ExperimentConfig.from_mapping({**mapping, **given}, path)
 
 
@@ -159,7 +159,8 @@ def _verdict(payload, acceptance, checks) -> int:
           seed=(_SEED, True))
 def _cmd_simulate(data, out, threads) -> int:
     obs = simulate.simulate_observations(data["spec"], data["n"], data["delta"], data["seed"])
-    simulate.save_observations(obs, out)
+    _write_csv(out, ["i", "Y"], ((i, repr(float(v))) for i, v in enumerate(obs.values, start=1)))
+    _write_json(f"{out}.json", {"n": obs.n, "delta": obs.delta, "seed": obs.seed, "spec": obs.spec_descriptor})
     print(f"simulate: wrote {data['n']} observations to {out} (delta={data['delta']}, seed={data['seed']})")
     return 0
 
@@ -170,7 +171,8 @@ def _cmd_spectral(data, out, threads) -> int:
     obs = simulate.simulate_observations(data["spec"], data["n"], data["delta"], data["seed"])
     grid = simulate.BlockGrid.from_h0(data["n"], data["delta"], data["h0"], data["J"])
     coeffs = spectral.block_coefficients(obs, grid)
-    simulate.save_coefficients(coeffs, out)
+    _write_csv(out, ["j", "k", "y"], ((j + 1, k, repr(float(coeffs.y[j, k])))
+                                      for j in range(grid.J) for k in range(grid.K)))
     print(f"spectral: wrote {grid.J}x{grid.K} coefficients to {out} (h0={grid.h0:.3f})")
     return 0
 
@@ -183,12 +185,12 @@ def _one_record(data):
     return cfg, harness.resolve_design(cfg), obs
 
 
-@_command("spot", **_ONE_RECORD, grid_points=(_COUNT, False))
+@_command("spot", **_ONE_RECORD, spot_eval_points=(None, False))
 def _cmd_spot(data, out, threads) -> int:
     cfg, design, obs = _one_record(data)
     coeffs = spectral.block_coefficients(obs, design.spot_grid)
-    t_grid = np.linspace(0.0, 1.0, data.get("grid_points", cfg.spot_eval_points))
-    curve = estimators.spot_estimate(coeffs, cfg.n, cfg.delta, design.bandwidth, t_grid, cfg.clip_floor)
+    curve = estimators.spot_estimate(coeffs, cfg.n, cfg.delta, design.bandwidth, design.eval_positions,
+                                     cfg.clip_floor)
     _write_json(out, {
         "t": curve.grid_points.tolist(),
         "estimate": curve.estimates.tolist(),
@@ -196,7 +198,7 @@ def _cmd_spot(data, out, threads) -> int:
         "clip_floor": curve.clip_floor,
         "n": cfg.n, "delta": cfg.delta, "seed": data["seed"],
     })
-    print(f"spot: wrote {t_grid.size}-point curve to {out} (bandwidth={curve.bandwidth:.4f})")
+    print(f"spot: wrote {cfg.spot_eval_points}-point curve to {out} (bandwidth={curve.bandwidth:.4f})")
     return 0
 
 
@@ -207,7 +209,7 @@ def _cmd_iv(data, out, threads) -> int:
     _write_json(out, {
         "value": est.value, "avar_hat": est.avar_hat, "target": est.target,
         "n": cfg.n, "delta": cfg.delta, "h0": design.main_grid.h0,
-        "J": est.J_used, "seed": data["seed"],
+        "J": design.main_grid.J, "seed": data["seed"],
     })
     print(f"iv: estimate {est.value:.6f} (target {est.target:.6f}) written to {out}")
     return 0
@@ -221,10 +223,13 @@ def _cmd_iv(data, out, threads) -> int:
           }), False))
 def _cmd_mc_iv(data, out, threads) -> int:
     cfg = _experiment(data, parallelism=threads)
+    acceptance = data.get("acceptance", {})
+    if acceptance.get("check_ks") and cfg.replications < harness.KS_MIN_REPLICATIONS:
+        raise ConfigError("$.acceptance.check_ks", f"needs at least {harness.KS_MIN_REPLICATIONS} "
+                          f"replications, got {cfg.replications}")
     report = harness.run_iv_mc(cfg)
     config = dict(asdict(cfg), spec=volmodel.spec_to_json(cfg.spec))
     payload = {"config": config, "summary": report.summary, "failures": list(report.failures)}
-    acceptance = data.get("acceptance", {})
     checks = {}
     if "variance_rtol" in acceptance:
         checks["variance"] = bool(abs(report.summary["variance_ratio"] - 1.0) <= acceptance["variance_rtol"])

@@ -53,18 +53,12 @@ class SpotCurve:
         object.__setattr__(self, "grid_points", gp)
         object.__setattr__(self, "estimates", est)
 
-    def as_piecewise(self) -> volmodel.PiecewiseConstant:
-        """Piecewise-constant curve over equal-width blocks, one per grid point."""
-        return volmodel.PiecewiseConstant(values=tuple(self.estimates))
-
 
 @dataclass(frozen=True)
 class IVEstimate:
     value: float
     target: Optional[float]
     avar_hat: float
-    grid: BlockGrid
-    J_used: int
 
     def __post_init__(self):
         if not self.avar_hat > 0:
@@ -166,9 +160,10 @@ def integrated_volatility_estimate(
     cj = (np.pi ** 2 / h ** 2) * np.arange(1, J + 1, dtype=np.float64) ** 2
     per_block = np.einsum("jk,j,jk->k", W, cj, coeffs.y ** 2 - delta ** 2 / n)
     value = h * float(np.sum(per_block))
-    avar = asymptotic_variance(spot, delta)
+    # the spot estimates at the K block positions, one equal-width block each
+    avar = asymptotic_variance(volmodel.PiecewiseConstant(tuple(spot.estimates)), delta)
     target = volmodel.true_integrated_volatility(true_spec) if true_spec is not None else None
-    return IVEstimate(value=value, target=target, avar_hat=avar, grid=grid, J_used=J)
+    return IVEstimate(value=value, target=target, avar_hat=avar)
 
 
 def realized_volatility(obs: ObservationSet) -> float:
@@ -179,12 +174,6 @@ def realized_volatility(obs: ObservationSet) -> float:
     return float(np.sum(inc * inc))
 
 
-def asymptotic_variance(curve, delta: float) -> float:
-    """8 delta int_0^1 sigma^3(t) dt for a volatility spec or a spot curve."""
-    if isinstance(curve, SpotCurve):
-        spec = curve.as_piecewise()
-    elif isinstance(curve, volmodel._SPEC_TYPES):
-        spec = curve
-    else:
-        raise TypeError(f"expected a VolatilitySpec or SpotCurve, got {type(curve).__name__}")
-    return 8.0 * delta * volmodel.integrated_power(spec, 3, 0.0, 1.0)
+def asymptotic_variance(spec: VolatilitySpec, delta: float) -> float:
+    """8 delta int_0^1 sigma^3(t) dt, the efficient asymptotic variance."""
+    return 8.0 * delta * volmodel.integrated_power(spec, 3)

@@ -72,17 +72,10 @@ def block_information_partial(theta: float, h0: float, jmax: int = 10 ** 6) -> f
 
 def single_frequency_information(sigma0: float, h0: float) -> float:
     """Information carried by the first frequency alone per unit noise budget:
-    (2 h0)^{-1} h0^4 / (pi^2 + h0^2 sigma0^2)^2."""
+    (2 h0)^{-1} h0^4 / (pi^2 + h0^2 sigma0^2)^2, largest at h0 = sqrt(3) pi / sigma0."""
     if not (sigma0 > 0 and h0 > 0):
         raise ValueError("sigma0 and h0 must be positive")
     return float(h0 ** 4 / (2.0 * h0 * (np.pi ** 2 + h0 ** 2 * sigma0 ** 2) ** 2))
-
-
-def optimal_single_frequency_ratio(sigma0: float) -> float:
-    """argmax over h0 of single_frequency_information: sqrt(3) pi / sigma0."""
-    if not sigma0 > 0:
-        raise ValueError("sigma0 must be positive")
-    return float(np.sqrt(3.0) * np.pi / sigma0)
 
 
 def efficiency_bound(sigma0: float) -> float:

@@ -32,6 +32,7 @@ from .spectral import block_coefficients
 from .volmodel import ConfigError, VolatilitySpec, _is_integer, _is_real
 
 KS_CRITICAL_COEF = 1.63  # level-0.01 coefficient: reject when KS > 1.63/sqrt(M)
+KS_MIN_REPLICATIONS = 200  # the fewest estimates normality_check tests
 
 
 MIN_N = 16  # the least number of observations a config may ask for
@@ -68,6 +69,7 @@ class ExperimentConfig:
             ("parallelism", _is_integer(self.parallelism, 1), "an integer >= 1"),
             ("clip_floor", _is_real(self.clip_floor, 0), "a positive number"),
             ("noise_convention", self.noise_convention == "eps2", '"eps2"'),
+            ("spot_eval_points", _is_integer(self.spot_eval_points, 1), "an integer >= 1"),
         )
         for name, ok, want in checks:
             if not ok:
@@ -291,11 +293,12 @@ def normality_check(report: MCReport):
     """KS test of the studentized estimates against the standard normal.
 
     Passes when the KS statistic is below the level-0.01 critical value
-    1.63/sqrt(M); requires at least 200 replications.
+    1.63/sqrt(M); requires at least KS_MIN_REPLICATIONS estimates.
     """
     m = len(report.iv_values)
-    if m < 200:
-        raise ValueError(f"need at least 200 replications for the normality check, got {m}")
+    if m < KS_MIN_REPLICATIONS:
+        raise ValueError(f"need at least {KS_MIN_REPLICATIONS} replications for the normality check, "
+                         f"got {m}")
     ks = report.summary["ks_statistic"]
     critical = KS_CRITICAL_COEF / np.sqrt(m)
     return ks < critical, {"ks_statistic": ks, "critical": critical, "replications": m}

@@ -10,11 +10,8 @@ independent and order-free.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -196,46 +193,3 @@ def oracle_variance(spec: VolatilitySpec, grid: BlockGrid, eps: float) -> np.nda
     s2 = sigma2_on_blocks(spec, grid.K)
     j = np.arange(1, grid.J + 1, dtype=np.float64)
     return (grid.h ** 2 / np.pi ** 2) * np.outer(j ** -2, s2) + eps ** 2
-
-
-# ---------------------------------------------------------------------------
-# file formats
-
-def save_observations(obs: ObservationSet, path) -> None:
-    """CSV of (i, Y_i) plus a JSON sidecar <path>.json with the metadata."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "Y"])
-        for i, v in enumerate(obs.values, start=1):
-            writer.writerow([i, repr(float(v))])
-    sidecar = {
-        "n": obs.n,
-        "delta": obs.delta,
-        "seed": obs.seed,
-        "spec": obs.spec_descriptor,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def load_observations(path) -> ObservationSet:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    values = []
-    with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            values.append(float(row["Y"]))
-    return ObservationSet(
-        n=int(meta["n"]), delta=float(meta["delta"]), values=np.asarray(values),
-        seed=int(meta["seed"]), spec_descriptor=meta["spec"],
-    )
-
-
-def save_coefficients(coeffs: SpectralCoefficients, path) -> None:
-    """CSV of (j, k, y)."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "k", "y"])
-        for j in range(coeffs.grid.J):
-            for k in range(coeffs.grid.K):
-                writer.writerow([j + 1, k, repr(float(coeffs.y[j, k]))])

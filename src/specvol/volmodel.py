@@ -1,7 +1,7 @@
 """Deterministic volatility curves sigma^2(t) on [0,1] and their functionals.
 
 Every curve exposes exact (or 1e-12 quadrature) evaluation of the power
-integrals int_a^b sigma^p(t) dt that the estimators and the distance
+integrals int_0^1 sigma^p(t) dt that the estimators and the distance
 experiments consume.  The cumulative variance a(t) = int_0^t sigma^2 has a
 closed form for every variant, including the reflected extension
 a(1+s) = a(1-s) needed by the symmetrized covariance construction.
@@ -93,7 +93,6 @@ VolatilitySpec = Union[Constant, PiecewiseConstant, Sinusoid, Oscillating]
 # spec JSON "kind" -> curve; the other JSON fields of a curve are its dataclass fields
 _KINDS = {"constant": Constant, "piecewise_constant": PiecewiseConstant,
           "sinusoid": Sinusoid, "oscillating": Oscillating}
-_SPEC_TYPES = tuple(_KINDS.values())
 
 
 def sigma_squared(spec: VolatilitySpec, t):
@@ -116,61 +115,33 @@ def sigma_squared(spec: VolatilitySpec, t):
     return out if out.ndim else float(out)
 
 
-def _pc_block_overlaps(spec: PiecewiseConstant, a: float, b: float):
-    m = len(spec.values)
-    for i, v in enumerate(spec.values):
-        lo = max(a, i / m)
-        hi = min(b, (i + 1) / m)
-        if hi > lo:
-            yield v, hi - lo
-
-
-def integrated_power(spec: VolatilitySpec, p: float, a: float = 0.0, b: float = 1.0) -> float:
-    """int_a^b sigma^p(t) dt with 0 <= a <= b <= 1.
+def integrated_power(spec: VolatilitySpec, p: float) -> float:
+    """int_0^1 sigma^p(t) dt.
 
     Closed form for Constant and PiecewiseConstant (any p) and for p = 2
     everywhere; adaptive quadrature at absolute tolerance 1e-12 otherwise.
     """
     if p <= 0:
         raise DomainError(f"exponent p must be positive, got {p}")
-    if a > b:
-        raise DomainError(f"need a <= b, got a={a}, b={b}")
-    if a < 0 or b > 1:
-        raise DomainError(f"[a,b] must lie inside [0,1], got [{a},{b}]")
-    if a == b:
-        return 0.0
     if isinstance(spec, Constant):
-        return (b - a) * spec.level ** (p / 2)
+        return spec.level ** (p / 2)
     if isinstance(spec, PiecewiseConstant):
-        return sum(v ** (p / 2) * w for v, w in _pc_block_overlaps(spec, a, b))
+        m = len(spec.values)
+        return sum(v ** (p / 2) * ((i + 1) / m - i / m) for i, v in enumerate(spec.values))
     if p == 2:
-        return float(cumulative_variance(spec, b) - cumulative_variance(spec, a))
+        return float(cumulative_variance(spec, 1.0))
     from scipy.integrate import quad  # deferred: importing it costs a third of a second
 
     if isinstance(spec, Sinusoid):
         f = lambda t: (spec.base + spec.amplitude * np.sin(2 * np.pi * spec.cycles * t + spec.phase)) ** (p / 2)
-        val, _ = quad(f, a, b, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200 + 50 * spec.cycles)
+        val, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200 + 50 * spec.cycles)
         return float(val)
-    # Oscillating: fold full cells onto one half-period, quadrature the edges.
+    # Oscillating: cos(pi*n*t) sweeps a half period on each of the n cells, and
+    # the folded integral is the same for even and odd cells
     n = spec.n
     u = n ** (-0.25)
-    g = lambda c: (1.0 + u * c) ** (p / 2)
-    i_lo = math.ceil(a * n - 1e-12)
-    i_hi = math.floor(b * n + 1e-12)
-    if i_hi <= i_lo:  # no full cell inside [a,b]
-        val, _ = quad(lambda t: g(np.cos(np.pi * n * t)), a, b, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
-        return float(val)
-    # one cell's worth: cos(pi*n*t) sweeps a half period on each cell and the
-    # value of the folded integral is the same for even and odd cells
-    cell, _ = quad(lambda v: g(np.cos(v)), 0.0, np.pi, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
-    total = (i_hi - i_lo) * cell / (np.pi * n)
-    if a < i_lo / n:
-        edge, _ = quad(lambda t: g(np.cos(np.pi * n * t)), a, i_lo / n, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
-        total += edge
-    if b > i_hi / n:
-        edge, _ = quad(lambda t: g(np.cos(np.pi * n * t)), i_hi / n, b, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
-        total += edge
-    return float(total)
+    cell, _ = quad(lambda v: (1.0 + u * np.cos(v)) ** (p / 2), 0.0, np.pi, epsabs=QUAD_TOL, epsrel=QUAD_TOL)
+    return float(n * cell / (np.pi * n))
 
 
 def _cumvar_unit(spec: VolatilitySpec, ts: np.ndarray) -> np.ndarray:
@@ -246,7 +217,7 @@ def cumulative_variance_antiderivative(spec: VolatilitySpec, t):
 
 
 def true_integrated_volatility(spec: VolatilitySpec) -> float:
-    return integrated_power(spec, 2, 0.0, 1.0)
+    return integrated_power(spec, 2)
 
 
 def spec_to_json(spec: VolatilitySpec) -> dict:
@@ -257,13 +228,17 @@ def spec_to_json(spec: VolatilitySpec) -> dict:
     raise TypeError(f"not a VolatilitySpec: {spec!r}")
 
 
-# the numeric predicates of every config check; a bool is not a number here
+# the numeric predicates of every config check; a bool is not a number here,
+# and neither is the NaN or Infinity that Python's json reads (an int is finite,
+# and math.isfinite raises on one beyond the float range)
 def _is_integer(value, least=-math.inf, below=math.inf) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and least <= value < below
 
 
 def _is_real(value, above=None) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (above is None or value > above)
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value))
+            and (above is None or value > above))
 
 
 def _typed(value, path, kind):
@@ -274,7 +249,7 @@ def _typed(value, path, kind):
             raise ConfigError(path, f"must be a list of numbers, got {value!r}")
         return tuple(_typed(v, f"{path}[{i}]", float) for i, v in enumerate(value))
     if not (_is_integer(value) if kind is int else _is_real(value)):
-        raise ConfigError(path, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        raise ConfigError(path, f"must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
     return kind(value)
 
 

@@ -69,7 +69,7 @@ def test_spectral_and_seed_override(tmp_path):
 def test_spot_and_iv(tmp_path):
     common = {"schema_version": 1, "spec": CONST, "n": 2048, "delta": 0.2,
               "seed": 3, "h0_rule": 8.0, "J_rule": 8}
-    spot_cfg = write_cfg(tmp_path, "spot.json", {**common, "grid_points": 33})
+    spot_cfg = write_cfg(tmp_path, "spot.json", {**common, "spot_eval_points": 33})
     out = tmp_path / "spot.json.out"
     assert run(["spot", "--config", spot_cfg, "--out", out]) == 0
     curve = json.loads(out.read_text())
@@ -309,18 +309,25 @@ RATE_BASE = {"schema_version": 1, "n_list": [256, 512, 1024, 2048],
     ("decay", dict(DECAY_BASE, n_list=[1, 64]), "$.n_list[0]"),
     ("decay", dict(DECAY_BASE, spec={"kind": "piecewise_constant", "values": [1.0, 4.0]}),
      "$.spec.kind"),
+    ("simulate", {"schema_version": 1, "spec": dict(SINE, phase=float("nan")), "n": 64,
+                  "delta": 0.1, "seed": 1}, "$.spec.phase"),
+    ("mc-iv", dict(MC_BASE, bandwidth_rule=float("inf")), "$.bandwidth_rule"),
+    ("mc-iv", dict(MC_BASE, replications=16, acceptance={"check_ks": True}), "$.acceptance.check_ks"),
+    ("spot", {"schema_version": 1, "spec": CONST, "n": 2048, "delta": 0.2, "seed": 3,
+              "spot_eval_points": 0}, "$.spot_eval_points"),
 ], ids=["rate-missing-level", "slope-range-length", "rate-small-n", "mc-iv-small-n",
         "unknown-field", "parallelism-field", "unknown-spec-field", "acceptance-type",
         "missing-field", "fractional-cycles", "float-cycles", "fractional-oscillating-n",
         "bool-level", "string-level", "null-phase", "bool-amplitude", "string-block-value",
         "values-not-list", "unknown-kind", "decay-decreasing-n", "decay-small-n",
-        "decay-piecewise"])
+        "decay-piecewise", "nan-phase", "infinite-bandwidth", "ks-too-few-replications",
+        "no-spot-points"])
 def test_bad_config_names_path(tmp_path, command, payload, field):
     cfg = write_cfg(tmp_path, "bad.json", payload)
     proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out.json"])
     assert proc.returncode == 1
     assert f"config field {field}:" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command,payload,seed,field", [

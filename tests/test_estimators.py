@@ -308,11 +308,11 @@ def test_asymptotic_variance_values():
 
 
 def test_asymptotic_variance_of_spot_curve():
+    # avar_hat is 8 delta int sigma_hat^3 over the spot curve, one block per estimate
     grid = BlockGrid(K=2, J=1, eps=0.1)
-    curve = oracle_spot(grid, [1.0, 4.0])
-    assert est.asymptotic_variance(curve, 1.0) == pytest.approx(36.0, abs=1e-12)
-    with pytest.raises(TypeError):
-        est.asymptotic_variance(3.0, 1.0)
+    coeffs = draw_exact_coefficients(vm.Constant(1.0), grid, 0.1, seed=2)
+    iv = est.integrated_volatility_estimate(coeffs, oracle_spot(grid, [1.0, 4.0]), grid, 1.0, 100)
+    assert iv.avar_hat == pytest.approx(36.0, abs=1e-12)
 
 
 def test_efficiency_dominance_jensen():

@@ -75,9 +75,7 @@ def test_information_monotone_in_h0():
 
 
 def test_single_frequency_constants():
-    h0_star = fisher.optimal_single_frequency_ratio(1.0)
-    assert h0_star == pytest.approx(np.sqrt(3) * np.pi, abs=1e-15)
-    imax = fisher.single_frequency_information(1.0, h0_star)
+    imax = fisher.single_frequency_information(1.0, np.sqrt(3) * np.pi)
     assert imax == pytest.approx(3**1.5 / (32 * np.pi), abs=1e-15)
     assert imax == pytest.approx(0.0517, abs=1e-4)
 
@@ -92,7 +90,7 @@ def test_single_frequency_numeric_argmax():
 
 
 def test_relative_efficiency():
-    imax = fisher.single_frequency_information(1.0, fisher.optimal_single_frequency_ratio(1.0))
+    imax = fisher.single_frequency_information(1.0, np.sqrt(3) * np.pi)
     eff = np.sqrt(imax / fisher.efficiency_bound(1.0))
     assert eff == pytest.approx(0.643, abs=1e-3)
 

@@ -59,6 +59,7 @@ def test_master_seed_range():
     ("J_rule", "bogus"), ("J_rule", 0), ("J_rule", 2.5),
     ("bandwidth_rule", "wide"), ("bandwidth_rule", 0.0),
     ("n", 16.0), ("replications", True), ("clip_floor", 0.0), ("noise_convention", "eps"),
+    ("spot_eval_points", 0),
 ])
 def test_config_checks_name_field(field, value):
     with pytest.raises(harness.ConfigError, match=f"config field {field}: must be"):

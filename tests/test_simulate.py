@@ -1,22 +1,24 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from specvol import simulate
 from specvol import volmodel as vm
+from specvol.cli import dispatch
 from specvol.simulate import (
     BlockGrid,
     ConfigurationError,
     ObservationSet,
     draw_exact_coefficients,
-    load_observations,
     oracle_variance,
     rng_for,
-    save_coefficients,
-    save_observations,
     simulate_observations,
     sigma2_on_blocks,
 )
+from specvol.spectral import block_coefficients
 
 
 def test_determinism_byte_identical():
@@ -172,21 +174,38 @@ def test_record_seeds_do_not_alias():
             simulate_observations(vm.Constant(1.0), 64, 0.1, seed)
 
 
+def write_config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **payload}))
+    return str(path)
+
+
 def test_observation_csv_roundtrip(tmp_path):
-    obs = simulate_observations(vm.PiecewiseConstant((1.0, 2.0)), 64, 0.05, seed=77)
+    spec = vm.PiecewiseConstant((1.0, 2.0))
+    cfg = write_config(tmp_path, {"spec": vm.spec_to_json(spec), "n": 64, "delta": 0.05, "seed": 77})
     path = tmp_path / "obs.csv"
-    save_observations(obs, path)
-    back = load_observations(path)
-    assert back.n == obs.n and back.delta == obs.delta and back.seed == obs.seed
-    assert back.spec_descriptor == obs.spec_descriptor
-    assert np.array_equal(back.values, obs.values)
+    assert dispatch(["simulate", "--config", cfg, "--out", str(path)]) == 0
+    obs = simulate_observations(spec, 64, 0.05, seed=77)
+    meta = json.loads(path.with_suffix(".csv.json").read_text())
+    assert meta == {"n": obs.n, "delta": obs.delta, "seed": obs.seed, "spec": obs.spec_descriptor}
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["i"]) for row in rows] == list(range(1, 65))
+    assert np.array_equal([float(row["Y"]) for row in rows], obs.values)
 
 
 def test_coefficients_csv(tmp_path):
-    grid = BlockGrid(K=3, J=2, eps=0.1)
-    coeffs = draw_exact_coefficients(vm.Constant(1.0), grid, 0.1, seed=3)
+    cfg = write_config(tmp_path, {"spec": vm.spec_to_json(vm.Constant(1.0)), "n": 1024, "delta": 0.2,
+                                  "seed": 3, "h0": 8.0, "J": 2})
     path = tmp_path / "coeffs.csv"
-    save_coefficients(coeffs, path)
+    assert dispatch(["spectral", "--config", cfg, "--out", str(path)]) == 0
+    grid = BlockGrid.from_h0(1024, 0.2, 8.0, 2)
+    coeffs = block_coefficients(simulate_observations(vm.Constant(1.0), 1024, 0.2, seed=3), grid)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "j,k,y"
-    assert len(rows) == 1 + 2 * 3
+    assert len(rows) == 1 + 2 * grid.K
+    y = np.zeros((grid.J, grid.K))
+    for row in rows[1:]:
+        j, k, value = row.split(",")
+        y[int(j) - 1, int(k)] = float(value)
+    assert np.array_equal(y, coeffs.y)
