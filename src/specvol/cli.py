@@ -130,9 +130,13 @@ def _load_config(path: str, command: str, seed=None) -> dict:
 
 
 def _experiment(data, path="$", **given) -> harness.ExperimentConfig:
-    """The ExperimentConfig of the config fields in data plus the given ones."""
+    """The ExperimentConfig of the config fields in data plus the given ones.
+    A bad field raises ConfigError with its JSON path under path."""
     mapping = {key: data[key] for key in data.keys() & {f.name for f in fields(harness.ExperimentConfig)}}
-    return harness.ExperimentConfig.from_mapping({**mapping, **given}, path)
+    try:
+        return harness.ExperimentConfig(**{**mapping, **given})
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.problem) from None
 
 
 def _write_json(path, payload) -> None:
@@ -160,12 +164,14 @@ def _verdict(payload, acceptance, checks) -> int:
 def _cmd_simulate(data, out, threads) -> int:
     obs = simulate.simulate_observations(data["spec"], data["n"], data["delta"], data["seed"])
     _write_csv(out, ["i", "Y"], ((i, repr(float(v))) for i, v in enumerate(obs.values, start=1)))
-    _write_json(f"{out}.json", {"n": obs.n, "delta": obs.delta, "seed": obs.seed, "spec": obs.spec_descriptor})
+    _write_json(f"{out}.json", {"n": obs.n, "delta": obs.delta, "seed": data["seed"],
+                                "spec": volmodel.spec_to_json(data["spec"])})
     print(f"simulate: wrote {data['n']} observations to {out} (delta={data['delta']}, seed={data['seed']})")
     return 0
 
 
-@_command("spectral", spec=(volmodel.spec_from_json, True), n=(_COUNT, True), delta=(_POSITIVE, True),
+# a grid needs two cells per block, so n = 1 leaves no block
+@_command("spectral", spec=(volmodel.spec_from_json, True), n=(_integer(2), True), delta=(_POSITIVE, True),
           seed=(_SEED, True), h0=(_POSITIVE, True), J=(_COUNT, True))
 def _cmd_spectral(data, out, threads) -> int:
     obs = simulate.simulate_observations(data["spec"], data["n"], data["delta"], data["seed"])
@@ -247,7 +253,8 @@ def _cmd_mc_iv(data, out, threads) -> int:
 
 
 @_command("rate", base=(_object(_experiment_fields("n", require=("master_seed",))), True),
-          n_list=(_list(_integer(harness.MIN_N), 4), True),
+          n_list=(_then(_list(_integer(harness.MIN_N), 4),
+                        _check(lambda v: len(set(v)) >= 4, "a list of at least 4 distinct values")), True),
           acceptance=(_object({"iv_slope_range": _SLOPE_RANGE, "spot_slope_range": _SLOPE_RANGE}),
                       False))
 def _cmd_rate(data, out, threads) -> int:
@@ -284,12 +291,11 @@ def _cmd_fisher(data, out, threads) -> int:
     return 0
 
 
-@_command("hellinger", dim=(_COUNT, True), trials=(_COUNT, True), seed=(_SEED, True),
-          perturbation=(_POSITIVE, False))
+@_command("hellinger", dim=(_COUNT, True), trials=(_COUNT, True), seed=(_SEED, True))
 def _cmd_hellinger(data, out, threads) -> int:
     dim = data["dim"]
     trials = data["trials"]
-    size = data.get("perturbation", 0.05)
+    size = 0.05   # the scale of the covariance and mean perturbations
     rng = simulate.rng_for(data["seed"])
     rows = []
     for trial in range(trials):

@@ -1,5 +1,4 @@
-"""Spot curve estimation, the weighted integrated-volatility estimator, and
-the realized-volatility baseline.
+"""Spot curve estimation and the weighted integrated-volatility estimator.
 
 The spot estimator averages per-block unbiased variance proxies over a
 window.  For oracle coefficients the proxy is the familiar
@@ -26,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels, volmodel
-from .simulate import BlockGrid, ConfigurationError, ObservationSet, SpectralCoefficients
+from .simulate import BlockGrid, ConfigurationError, SpectralCoefficients
 from .volmodel import VolatilitySpec
 
 
@@ -164,14 +163,6 @@ def integrated_volatility_estimate(
     avar = asymptotic_variance(volmodel.PiecewiseConstant(tuple(spot.estimates)), delta)
     target = volmodel.true_integrated_volatility(true_spec) if true_spec is not None else None
     return IVEstimate(value=value, target=target, avar_hat=avar)
-
-
-def realized_volatility(obs: ObservationSet) -> float:
-    """Sum of squared increments (Y_0 = 0): the noise-biased baseline."""
-    if obs.n < 2:
-        raise ValueError("need at least two observations")
-    inc = obs.increments()
-    return float(np.sum(inc * inc))
 
 
 def asymptotic_variance(spec: VolatilitySpec, delta: float) -> float:

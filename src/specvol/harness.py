@@ -75,16 +75,6 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(name, f"must be {want}, got {getattr(self, name)!r}")
 
-    @classmethod
-    def from_mapping(cls, data, path: str = "$") -> "ExperimentConfig":
-        """The config of a mapping of field names to values, such as a JSON
-        config with its spec parsed; absent fields take the defaults above.
-        A bad field raises ConfigError with its path under path."""
-        try:
-            return cls(**data)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}.{exc.field}", exc.problem) from None
-
 
 @dataclass(frozen=True)
 class ResolvedDesign:

@@ -3,14 +3,14 @@
 Paths are generated from the exact Gaussian law of the latent integral
 process: increments are independent centered normals with variances taken
 from differences of the closed-form cumulative variance, never from an Euler
-scheme.  Reproducibility uses the counter-based Philox generator keyed by a
-128-bit value derived from (seed, stream), so replication streams are
-independent and order-free.
+scheme.  Reproducibility uses the counter-based Philox generator keyed by the
+seed alone; replication streams are the seeds of harness.replication_seed,
+so they are independent and order-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -23,14 +23,14 @@ class ConfigurationError(ValueError):
     """Inconsistent grid / spec combination."""
 
 
-def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, stream), both in [0, 2^64).  The
-    128-bit Philox key holds seed in its high and stream in its low 64 bits,
-    so distinct pairs never share a stream."""
-    seed, stream = int(seed), int(stream)
-    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
-        raise ValueError(f"seed and stream must lie in [0, 2^64), got seed={seed}, stream={stream}")
-    return np.random.Generator(np.random.Philox(key=(seed << 64) ^ stream))
+def rng_for(seed: int) -> np.random.Generator:
+    """Counter-based generator for a seed in [0, 2^64).  The 128-bit Philox
+    key holds the seed in its high 64 bits, so distinct seeds never share a
+    stream."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed << 64))
 
 
 @dataclass(frozen=True)
@@ -76,20 +76,19 @@ class BlockGrid:
 class ObservationSet:
     """One simulated record: Y_i = X_{i/n} + noise_i, i = 1..n."""
 
-    n: int
     delta: float
     values: np.ndarray
-    seed: int
-    spec_descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.n,):
-            raise ValueError(f"values must have length n={self.n}, got shape {vals.shape}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
     def eps(self) -> float:
         return self.delta / np.sqrt(self.n)
@@ -155,10 +154,7 @@ def simulate_observations(spec: VolatilitySpec, n: int, delta: float, seed: int)
     rng = rng_for(seed)
     x = np.cumsum(rng.standard_normal(n) * _increment_sd(spec, n))
     y = x + delta * rng.standard_normal(n) if delta > 0 else x
-    return ObservationSet(
-        n=n, delta=float(delta), values=y, seed=int(seed),
-        spec_descriptor=volmodel.spec_to_json(spec),
-    )
+    return ObservationSet(delta=float(delta), values=y)
 
 
 def sigma2_on_blocks(spec: VolatilitySpec, K: int) -> np.ndarray:

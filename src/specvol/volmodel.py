@@ -3,8 +3,9 @@
 Every curve exposes exact (or 1e-12 quadrature) evaluation of the power
 integrals int_0^1 sigma^p(t) dt that the estimators and the distance
 experiments consume.  The cumulative variance a(t) = int_0^t sigma^2 has a
-closed form for every variant, including the reflected extension
-a(1+s) = a(1-s) needed by the symmetrized covariance construction.
+closed form for every variant on [0,1].  Only its antiderivative
+A(t) = int_0^t a is extended to [0,2], through the reflection a(1+s) = a(1-s)
+that the symmetrized covariance construction needs.
 """
 
 from __future__ import annotations
@@ -144,34 +145,25 @@ def integrated_power(spec: VolatilitySpec, p: float) -> float:
     return float(n * cell / (np.pi * n))
 
 
-def _cumvar_unit(spec: VolatilitySpec, ts: np.ndarray) -> np.ndarray:
-    """a(t) for t in [0,1], vectorized, closed form for every variant."""
+def cumulative_variance(spec: VolatilitySpec, t):
+    """a(t) = int_0^t sigma^2(s) ds for t in [0,1], closed form for every variant."""
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0) or np.any(ts > 1):
+        raise DomainError(f"t must lie in [0,1], got {t}")
     if isinstance(spec, Constant):
-        return spec.level * ts
-    if isinstance(spec, PiecewiseConstant):
+        out = spec.level * ts
+    elif isinstance(spec, PiecewiseConstant):
         vals = np.asarray(spec.values)
         m = len(vals)
         prefix = np.concatenate([[0.0], np.cumsum(vals) / m])
         idx = np.minimum((ts * m).astype(int), m - 1)
-        return prefix[idx] + vals[idx] * (ts - idx / m)
-    if isinstance(spec, Sinusoid):
+        out = prefix[idx] + vals[idx] * (ts - idx / m)
+    elif isinstance(spec, Sinusoid):
         w = 2 * np.pi * spec.cycles
-        return spec.base * ts - spec.amplitude * (np.cos(w * ts + spec.phase) - np.cos(spec.phase)) / w
-    n = spec.n
-    return ts + n ** (-0.25) * np.sin(np.pi * n * ts) / (np.pi * n)
-
-
-def cumulative_variance(spec: VolatilitySpec, t):
-    """a(t) = int_0^t sigma^2(s) ds, extended by reflection a(1+s) = a(1-s).
-
-    Valid for t in [0,2]; the reflected branch feeds the last diagonal cell
-    of the symmetrized covariance construction.
-    """
-    ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0) or np.any(ts > 2):
-        raise DomainError(f"t must lie in [0,2], got {t}")
-    folded = np.where(ts > 1.0, 2.0 - ts, ts)
-    out = _cumvar_unit(spec, folded)
+        out = spec.base * ts - spec.amplitude * (np.cos(w * ts + spec.phase) - np.cos(spec.phase)) / w
+    else:
+        n = spec.n
+        out = ts + n ** (-0.25) * np.sin(np.pi * n * ts) / (np.pi * n)
     return out if out.ndim else float(out)
 
 

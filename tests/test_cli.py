@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import specvol
-from specvol import cli
+from specvol import cli, harness
+from specvol import volmodel as vm
 from specvol.cli import dispatch
+from specvol.volmodel import ConfigError
 
 CONST = {"kind": "constant", "level": 1.0}
 
@@ -273,6 +275,14 @@ def test_shipped_configs_load(path):
         cli._experiment(data["base"], "$.base", n=data["n_list"][0])
 
 
+def test_experiment_defaults_and_paths():
+    cfg = cli._experiment({"spec": vm.Constant(1.0), "n": 1024, "delta": 0.3}, replications=2)
+    assert cfg == harness.ExperimentConfig(spec=vm.Constant(1.0), n=1024, delta=0.3, replications=2)
+    with pytest.raises(ConfigError, match=r"config field \$\.base\.J_rule: "):
+        cli._experiment({"spec": vm.Constant(1.0), "n": 1024, "delta": 0.3, "J_rule": "bogus"}, "$.base",
+                        replications=2)
+
+
 SINE = {"kind": "sinusoid", "base": 1.0, "amplitude": 0.5, "cycles": 3, "phase": 0.7}
 MC_BASE = {"schema_version": 1, "spec": CONST, "n": 1024, "delta": 0.3,
            "replications": 4, "master_seed": 4, "h0_rule": 8.0, "J_rule": 16}
@@ -315,13 +325,16 @@ RATE_BASE = {"schema_version": 1, "n_list": [256, 512, 1024, 2048],
     ("mc-iv", dict(MC_BASE, replications=16, acceptance={"check_ks": True}), "$.acceptance.check_ks"),
     ("spot", {"schema_version": 1, "spec": CONST, "n": 2048, "delta": 0.2, "seed": 3,
               "spot_eval_points": 0}, "$.spot_eval_points"),
+    ("rate", dict(RATE_BASE, n_list=[1024, 1024, 2048, 4096]), "$.n_list"),
+    ("spectral", {"schema_version": 1, "spec": CONST, "n": 1, "delta": 0.1, "seed": 1, "h0": 8.0, "J": 3},
+     "$.n"),
 ], ids=["rate-missing-level", "slope-range-length", "rate-small-n", "mc-iv-small-n",
         "unknown-field", "parallelism-field", "unknown-spec-field", "acceptance-type",
         "missing-field", "fractional-cycles", "float-cycles", "fractional-oscillating-n",
         "bool-level", "string-level", "null-phase", "bool-amplitude", "string-block-value",
         "values-not-list", "unknown-kind", "decay-decreasing-n", "decay-small-n",
         "decay-piecewise", "nan-phase", "infinite-bandwidth", "ks-too-few-replications",
-        "no-spot-points"])
+        "no-spot-points", "rate-repeated-n", "spectral-one-observation"])
 def test_bad_config_names_path(tmp_path, command, payload, field):
     cfg = write_cfg(tmp_path, "bad.json", payload)
     proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out.json"])

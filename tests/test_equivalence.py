@@ -222,7 +222,7 @@ def test_symmetrized_constant_entries():
 def test_symmetrized_vs_quadrature_oracle():
     spec, n, delta = vm.Sinusoid(1, 0.5, 2, 0.3), 16, 0.1
     law = symmetrized_covariance(spec, n, delta)
-    a = lambda t: vm.cumulative_variance(spec, t)
+    a = lambda t: vm.cumulative_variance(spec, min(t, 2.0 - t))   # reflected past t = 1
     for k in [1, 7, 15, 16]:
         lo, hi = (2 * k - 1) / (2 * n), (2 * k + 1) / (2 * n)
         oracle, _ = quad(a, lo, hi, epsabs=1e-13, epsrel=1e-13)

@@ -8,7 +8,6 @@ from specvol import volmodel as vm
 from specvol.simulate import (
     BlockGrid,
     ConfigurationError,
-    ObservationSet,
     draw_exact_coefficients,
     simulate_observations,
 )
@@ -264,38 +263,6 @@ def test_plugin_stability():
         moved = est.integrated_volatility_estimate(
             coeffs, oracle_spot(grid, np.ones(12) * (1 + u)), grid, 0.04, 16).value
         assert abs(moved - base) <= 0.5 * abs(u) * max(1.0, abs(base))
-
-
-# ------------------------------------------------------------------ baseline
-
-def test_realized_volatility_no_noise():
-    reps, n, c = 1000, 256, 1.7
-    vals = np.empty(reps)
-    for r in range(reps):
-        obs = simulate_observations(vm.Constant(c), n, 0.0, seed=(19 << 32) ^ r)
-        vals[r] = est.realized_volatility(obs)
-    se = vals.std(ddof=1) / np.sqrt(reps)
-    assert abs(vals.mean() - c) < 3 * se
-
-
-def test_realized_volatility_noise_bias():
-    reps, n, delta = 1000, 512, 0.2
-    spec = vm.Sinusoid(1, 0.4, 1, 0.5)
-    iv = vm.true_integrated_volatility(spec)
-    expect = iv + 2 * n * delta**2 - delta**2
-    vals = np.empty(reps)
-    for r in range(reps):
-        obs = simulate_observations(spec, n, delta, seed=(23 << 32) ^ r)
-        vals[r] = est.realized_volatility(obs)
-    se = vals.std(ddof=1) / np.sqrt(reps)
-    assert abs(vals.mean() - expect) < 3 * se
-
-
-def test_realized_volatility_deterministic():
-    obs = simulate_observations(vm.Constant(1.0), 128, 0.1, seed=3)
-    assert est.realized_volatility(obs) == est.realized_volatility(obs)
-    with pytest.raises(ValueError):
-        est.realized_volatility(ObservationSet(n=1, delta=0.0, values=np.ones(1), seed=0))
 
 
 # -------------------------------------------------------- asymptotic variance

@@ -66,15 +66,6 @@ def test_config_checks_name_field(field, value):
         small_cfg(**{field: value})
 
 
-def test_from_mapping_defaults_and_paths():
-    cfg = ExperimentConfig.from_mapping({"spec": vm.Constant(1.0), "n": 1024, "delta": 0.3,
-                                         "replications": 2})
-    assert cfg == ExperimentConfig(spec=vm.Constant(1.0), n=1024, delta=0.3, replications=2)
-    with pytest.raises(harness.ConfigError, match=r"config field \$\.base\.J_rule: "):
-        ExperimentConfig.from_mapping({"spec": vm.Constant(1.0), "n": 1024, "delta": 0.3,
-                                       "replications": 2, "J_rule": "bogus"}, "$.base")
-
-
 def test_resolve_design_rules():
     cfg = small_cfg(h0_rule="log", J_rule="loglog")
     design = resolve_design(cfg)
@@ -239,6 +230,25 @@ def test_rate_regression_pool_matches_serial():
     assert without_wall(pooled.summaries) == without_wall(serial.summaries)
     assert (pooled.iv_rmse, pooled.spot_sup) == (serial.iv_rmse, serial.spot_sup)
     assert (pooled.iv_slope, pooled.spot_slope) == (serial.iv_slope, serial.spot_slope)
+
+
+# Frozen results of 4 replications, master seed 7: the mc-iv-clt design (a DST
+# main grid, a strided-views spot grid) and a sinusoid at 2^12 (both grids batched)
+FROZEN = [
+    (dict(n=2**16, h0_rule=80.0, J_rule=192),
+     [1.0225736480347036, 1.0308463438776583, 1.0221294656479407, 0.9813026552959895],
+     [0.5, 0.4245915828509881, 0.6974366050879539, 0.5]),
+    (dict(spec=vm.Sinusoid(1, 0.5, 1, 0), n=2**12, h0_rule=32.0, J_rule=64),
+     [1.0830028542538994, 0.8150447557356856, 0.807660961318438, 1.045883974976191],
+     [2.6142339615392736, 1.1017018599747224, 1.0, 0.9993977281025863]),
+]
+
+
+@pytest.mark.parametrize("design,iv_values,spot_sup_errors", FROZEN, ids=["mc-iv-clt", "sinusoid"])
+def test_frozen_replication_values(design, iv_values, spot_sup_errors):
+    report = run_iv_mc(small_cfg(delta=0.1, clip_floor=0.5, replications=4, **design))
+    assert np.allclose(report.iv_values, iv_values, rtol=1e-12, atol=0)
+    assert np.allclose(report.spot_sup_errors, spot_sup_errors, rtol=1e-12, atol=0)
 
 
 def test_pool_tasks_name_the_replication(monkeypatch):

@@ -109,8 +109,10 @@ def test_oscillating_indistinguishable_from_flat():
 
 
 def test_observation_set_validation():
+    obs = ObservationSet(delta=0.1, values=np.zeros(3))
+    assert obs.n == 3 and not obs.values.flags.writeable
     with pytest.raises(ValueError):
-        ObservationSet(n=4, delta=0.1, values=np.zeros(3), seed=0)
+        ObservationSet(delta=-0.1, values=np.zeros(3))
 
 
 def test_sigma2_on_blocks_alignment():
@@ -148,23 +150,23 @@ def test_oracle_determinism():
 
 
 def test_rng_streams_differ():
-    x = rng_for(1, 0).standard_normal(4)
-    y = rng_for(1, 1).standard_normal(4)
+    x = rng_for(1).standard_normal(4)
+    y = rng_for(2).standard_normal(4)
     assert not np.allclose(x, y)
 
 
 def test_rng_key_layout():
-    # in-range seeds keep the streams they always had: seed in the high and
-    # stream in the low 64 bits of the Philox key
-    for seed, stream in [(0, 0), (5, 3), (2**64 - 1, 2**64 - 1)]:
-        expect = np.random.Generator(np.random.Philox(key=(seed << 64) ^ stream)).standard_normal(4)
-        assert np.array_equal(rng_for(seed, stream).standard_normal(4), expect)
+    # in-range seeds keep the streams they always had: the seed in the high
+    # 64 bits of the Philox key
+    for seed in (0, 5, (5 << 32) ^ 3, 2**64 - 1):
+        expect = np.random.Generator(np.random.Philox(key=seed << 64)).standard_normal(4)
+        assert np.array_equal(rng_for(seed).standard_normal(4), expect)
 
 
-@pytest.mark.parametrize("seed,stream", [(-5, 0), (2**64, 0), (5 + 2**64, 0), (0, -1), (0, 2**64)])
-def test_rng_rejects_out_of_range(seed, stream):
+@pytest.mark.parametrize("seed", [-5, 2**64, 5 + 2**64])
+def test_rng_rejects_out_of_range(seed):
     with pytest.raises(ValueError, match="2\\^64"):
-        rng_for(seed, stream)
+        rng_for(seed)
 
 
 def test_record_seeds_do_not_alias():
@@ -187,7 +189,7 @@ def test_observation_csv_roundtrip(tmp_path):
     assert dispatch(["simulate", "--config", cfg, "--out", str(path)]) == 0
     obs = simulate_observations(spec, 64, 0.05, seed=77)
     meta = json.loads(path.with_suffix(".csv.json").read_text())
-    assert meta == {"n": obs.n, "delta": obs.delta, "seed": obs.seed, "spec": obs.spec_descriptor}
+    assert meta == {"n": 64, "delta": 0.05, "seed": 77, "spec": vm.spec_to_json(spec)}
     with path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(row["i"]) for row in rows] == list(range(1, 65))

@@ -80,7 +80,7 @@ def test_zero_mean():
 
 def test_constant_record_gives_zero_away_from_origin():
     n, K = 64, 4
-    obs = ObservationSet(n=n, delta=0.0, values=np.full(n, 3.7), seed=0)
+    obs = ObservationSet(delta=0.0, values=np.full(n, 3.7))
     grid = BlockGrid(K=K, J=3, eps=0.1)
     coeffs = block_coefficients(obs, grid)
     assert np.all(coeffs.y[:, 1:] == 0.0)  # blocks disjoint from the first cell
@@ -93,7 +93,7 @@ def test_linearity(rng):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
         a, b = rng.standard_normal(2)
-        mk = lambda vals: ObservationSet(n=n, delta=0.0, values=vals, seed=0)
+        mk = lambda vals: ObservationSet(delta=0.0, values=vals)
         lhs = block_coefficients(mk(a * u + b * v), grid).y
         rhs = a * block_coefficients(mk(u), grid).y + b * block_coefficients(mk(v), grid).y
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
@@ -101,7 +101,7 @@ def test_linearity(rng):
 
 def test_too_few_cells_per_block():
     for n, K in [(8, 8), (97, 49)]:
-        obs = ObservationSet(n=n, delta=0.0, values=np.zeros(n), seed=0)
+        obs = ObservationSet(delta=0.0, values=np.zeros(n))
         with pytest.raises(ConfigurationError, match=f"n={n} < 2K with K={K}"):
             block_coefficients(obs, BlockGrid(K=K, J=1, eps=0.1))
 
@@ -109,7 +109,7 @@ def test_too_few_cells_per_block():
 @pytest.mark.parametrize("n,K", [(98, 49), (196, 98)])
 def test_two_cells_per_block(rng, n, K):
     # n*h = 2 exactly, though n * (1/K) rounds below 2 in floating point
-    obs = ObservationSet(n=n, delta=0.0, values=rng.standard_normal(n), seed=0)
+    obs = ObservationSet(delta=0.0, values=rng.standard_normal(n))
     y = block_coefficients(obs, BlockGrid(K=K, J=3, eps=0.1)).y
     want = cell_oracle(obs.increments(), K, 3)
     assert np.max(np.abs(y - want)) <= 1e-11 * np.max(np.abs(want))

@@ -67,9 +67,10 @@ def test_integrated_power_oscillating_vs_riemann_oracle():
 def test_cumulative_variance_examples():
     assert vm.cumulative_variance(Constant(2.0), 0.5) == 1.0
     assert vm.cumulative_variance(Sinusoid(1, 0.5, 2, 0.3), 0.0) == 0.0
-    assert vm.cumulative_variance(Constant(2.0), 1.2) == pytest.approx(1.6, abs=1e-15)
+    assert vm.cumulative_variance(Constant(2.0), 1.0) == 2.0
+    # a(t) lives on [0,1]; only its antiderivative is reflected past 1
     with pytest.raises(DomainError):
-        vm.cumulative_variance(Constant(1.0), 2.5)
+        vm.cumulative_variance(Constant(1.0), 1.2)
     with pytest.raises(DomainError):
         vm.cumulative_variance(Constant(1.0), -0.01)
 
@@ -110,7 +111,8 @@ def test_oscillating_cell_integrals_exact(n):
 
 def test_cumvar_antiderivative_vs_quadrature():
     for spec in [Constant(1.7), PiecewiseConstant((0.5, 2.0, 1.0)), Sinusoid(1, 0.4, 2, 0.7), Oscillating(8)]:
-        a_fn = lambda t: vm.cumulative_variance(spec, t)
+        # the reflection a(1+s) = a(1-s) that A(t) assumes past t = 1
+        a_fn = lambda t: vm.cumulative_variance(spec, min(t, 2.0 - t))
         for t in [0.3, 0.9, 1.0, 1.4, 2.0]:
             oracle, _ = quad(a_fn, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=800)
             assert vm.cumulative_variance_antiderivative(spec, t) == pytest.approx(oracle, abs=1e-9)
