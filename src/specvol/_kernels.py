@@ -21,8 +21,8 @@ coefficients are that view times one weight matrix
 
 One cached builder, `layout(n, K, J)`, picks the evaluator and builds the
 state it reads, so the result depends on (n, K, J) alone and is the same for
-any worker count, and a process can build that state before it forks
-workers.  The evaluators:
+any worker count.  The state is read-only, and the threads of a pool share
+it.  The evaluators:
 
 - dst: on aligned grids (cw = 1, every block holds bw whole cells) and
   1 < J <= bw, piece p of a block is cell p, and

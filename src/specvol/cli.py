@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
@@ -359,13 +358,10 @@ def _cmd_counterexample(data, out, threads) -> int:
     return 0
 
 
-def _threads(given) -> int:
-    """The worker count: --threads, else SPECVOL_THREADS, else 1."""
-    name, value = "--threads", given
-    if value is None:
-        name, value = "SPECVOL_THREADS", os.environ.get("SPECVOL_THREADS", "1")
-    if not str(value).strip().isdecimal() or int(value) < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _threads(value: str) -> int:
+    """The worker count given by --threads."""
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValueError(f"--threads must be an integer >= 1, got {value!r}")
     return int(value)
 
 
@@ -387,8 +383,7 @@ def dispatch(argv) -> int:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output path (CSV or JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", default=None,
-                       help="worker processes (fallback: SPECVOL_THREADS)")
+        p.add_argument("--threads", default="1", help="worker threads (default 1)")
     args = parser.parse_args(argv)
     try:
         threads = _threads(args.threads)

@@ -5,29 +5,26 @@ Each replication owns an independent counter-based RNG stream keyed by
 (master_seed, replication index), so results are bit-identical for any
 worker-pool size; aggregation always walks replications in index order.
 
-With parallelism > 1 a call opens one process pool, for every n of a rate
-regression.  Before the pool forks, the parent builds each n's state (the
-increment standard deviations, the transform weights and cell windows of both
-grids, the spot grid's block normalizers) in the caches the layers read, and
-the workers inherit it instead of building it on their first replication.
+With parallelism > 1 a call opens one thread pool, for every n of a rate
+regression.  The threads share the caches the layers read (the increment
+standard deviations, the transform layouts, the block normalizers), so no
+state is built ahead of a run or copied to another process.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 import time
-from contextlib import contextmanager, suppress
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
-from . import _kernels, volmodel
+from . import volmodel
 from .estimators import asymptotic_variance, integrated_volatility_estimate, spot_estimate
-from .simulate import BlockGrid, ObservationSet, _increment_sd, simulate_observations
+from .simulate import BlockGrid, ObservationSet, simulate_observations
 from .spectral import block_coefficients
 from .volmodel import ConfigError, VolatilitySpec, _is_integer, _is_real
 
@@ -162,40 +159,13 @@ def _run_replication(cfg: ExperimentConfig, index: int) -> ReplicationResult:
         return ReplicationResult(index=index, error=f"{type(exc).__name__}: {exc}")
 
 
-def _replicate(cfg: ExperimentConfig, index: int) -> ReplicationResult:
-    # A pool pickles this function by name and the worker looks up
-    # _run_replication when it calls it, so a wrapper of _run_replication
-    # installed before the fork (a tracer, a test) runs in the workers too.
-    return _run_replication(cfg, index)
-
-
-def _prepare(cfgs) -> None:
-    """Build the cached state the replications of cfgs read, with the arguments
-    the layers pass, so that workers forked afterwards inherit it.  The largest
-    n goes first: its temporaries then sit on the least state built so far,
-    which keeps the peak memory of the parent down."""
-    for cfg in sorted(cfgs, key=lambda c: c.n, reverse=True):
-        design = resolve_design(cfg)
-        _increment_sd(cfg.spec, cfg.n)
-        for grid in (design.spot_grid, design.main_grid):
-            _kernels.layout(cfg.n, grid.K, grid.J)
-        _kernels.block_normalizers(cfg.n, design.spot_grid.K, float(cfg.delta), 1)
-
-
 @contextmanager
-def _pool(cfgs):
-    """None for a serial run; else one fork pool for every config, opened after
-    _prepare has built their state and shut down when the block ends."""
-    workers = cfgs[0].parallelism
+def _pool(workers: int):
+    """None for a serial run; else one thread pool, shut down when the block ends."""
     if workers == 1:
         yield None
         return
-    # a task the pool cannot pickle hangs its shutdown, so fail before the fork
-    pickle.dumps(cfgs)
-    # state that fails to build fails every replication, which records it
-    with suppress(*_NUMERIC_FAILURES):
-        _prepare(cfgs)
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
         yield pool
     finally:
@@ -247,19 +217,17 @@ def run_iv_mc(cfg: ExperimentConfig) -> MCReport:
 
     Raises TooManyFailuresError when more than 1% of replications fail.
     """
-    with _pool([cfg]) as pool:
+    with _pool(cfg.parallelism) as pool:
         return _iv_mc(cfg, pool)
 
 
-def _iv_mc(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]) -> MCReport:
+def _iv_mc(cfg: ExperimentConfig, pool: Optional[ThreadPoolExecutor]) -> MCReport:
     start = time.perf_counter()
-    run = partial(_replicate, cfg)
+    # read when _iv_mc runs, so a wrapper of _run_replication (a tracer, a test) runs in the pool too
+    run = partial(_run_replication, cfg)
     indices = range(cfg.replications)
-    if pool is None:
-        results = list(map(run, indices))
-    else:   # map returns the results in index order
-        chunk = max(1, cfg.replications // (4 * cfg.parallelism))
-        results = list(pool.map(run, indices, chunksize=chunk))
+    # map returns the results in index order
+    results = list(map(run, indices) if pool is None else pool.map(run, indices))
     failures = tuple((r.index, r.error) for r in results if r.failed)
     if len(failures) > 0.01 * cfg.replications:
         raise TooManyFailuresError(
@@ -310,7 +278,7 @@ def run_rate_regression(cfg: ExperimentConfig, n_list) -> RateReport:
     if len(ns) < 4:
         raise ValueError("need at least 4 distinct n values")
     cfgs = [replace(cfg, n=n) for n in ns]
-    with _pool(cfgs) as pool:
+    with _pool(cfg.parallelism) as pool:
         summaries = [_iv_mc(c, pool).summary for c in cfgs]
     rmses = [s["rmse_iv"] for s in summaries]
     sups = [s["mean_spot_sup_error"] for s in summaries]

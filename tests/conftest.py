@@ -1,4 +1,4 @@
-import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -40,13 +40,16 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+def pool_threads():
+    """The live worker threads of thread pools."""
+    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor-")]
+
+
 @pytest.fixture(autouse=True)
-def no_child_process_left():
-    """Fail a test that leaves a live child process, such as an unclosed pool."""
+def no_pool_thread_left():
+    """Fail a test that leaves a live pool thread, such as an unclosed pool."""
+    before = set(pool_threads())
     yield
-    left = multiprocessing.active_children()
-    for proc in left:   # so that one leak does not fail every later test
-        proc.terminate()
-        proc.join()
+    left = [t for t in pool_threads() if t not in before]   # so that one leak fails one test
     if left:
-        pytest.fail(f"{len(left)} child process(es) left running: {left}")
+        pytest.fail(f"{len(left)} pool thread(s) left running: {left}")

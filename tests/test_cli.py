@@ -103,12 +103,10 @@ def test_mc_iv_acceptance_gate(tmp_path, capsys):
     assert run(["mc-iv", "--config", bad_cfg, "--out", tmp_path / "mc2.json"]) == 2
 
 
-def run_cli(args, **environ):
-    """The CLI in a fresh interpreter, as a user runs it, with environ added
-    to its environment."""
+def run_cli(args):
+    """The CLI in a fresh interpreter, as a user runs it."""
     src = str(Path(specvol.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               **environ)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "specvol.cli", *map(str, args)],
                           capture_output=True, text=True, env=env)
 
@@ -135,17 +133,15 @@ def test_seed_rejected_without_config_seed(tmp_path, command, payload):
     assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,flags,environ,name", [
-    ("mc-iv", ["--threads", "0"], {}, "--threads"),
-    ("mc-iv", [], {"SPECVOL_THREADS": "0"}, "SPECVOL_THREADS"),
-    ("fisher", [], {"SPECVOL_THREADS": "abc"}, "SPECVOL_THREADS"),
-    ("fisher", ["--threads", "-2"], {"SPECVOL_THREADS": "abc"}, "--threads"),
+@pytest.mark.parametrize("command,flags,name", [
+    ("mc-iv", ["--threads", "0"], "--threads"),
+    ("fisher", ["--threads", "-2"], "--threads"),
 ])
-def test_bad_worker_count_names_its_source(tmp_path, command, flags, environ, name):
+def test_bad_worker_count_names_its_source(tmp_path, command, flags, name):
     payload = (MC_BASE if command == "mc-iv"
                else {"schema_version": 1, "thetas": [1.0], "h0s": [2.0]})
     cfg = write_cfg(tmp_path, "cfg.json", payload)
-    proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out", *flags], **environ)
+    proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out", *flags])
     assert proc.returncode == 1
     assert f"error: {name} must be an integer >= 1" in proc.stderr
     assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
@@ -237,15 +233,13 @@ def test_counterexample_command(tmp_path):
     assert set(payload["gaps"]) == {"256", "1024"}
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_give_equal_summaries(tmp_path):
     cfg = write_cfg(tmp_path, "mc.json", {
         "schema_version": 1, "spec": CONST, "n": 1024, "delta": 0.3,
         "replications": 6, "master_seed": 4, "h0_rule": 8.0, "J_rule": 8,
         "bandwidth_rule": 0.3})
     out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    monkeypatch.setenv("SPECVOL_THREADS", "2")
-    assert run(["mc-iv", "--config", cfg, "--out", out1]) == 0
-    monkeypatch.delenv("SPECVOL_THREADS")
+    assert run(["mc-iv", "--config", cfg, "--out", out1, "--threads", "2"]) == 0
     assert run(["mc-iv", "--config", cfg, "--out", out2, "--threads", "1"]) == 0
     p1, p2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     assert p1["config"]["parallelism"] == 2

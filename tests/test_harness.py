@@ -1,16 +1,11 @@
-import multiprocessing
-import os
-import pickle
-import signal
-import subprocess
 import sys
+import threading
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import specvol
+from conftest import pool_threads
 from specvol import _kernels, harness, simulate
 from specvol import volmodel as vm
 from specvol.harness import (
@@ -174,11 +169,11 @@ def test_programming_errors_raise(monkeypatch, parallelism):
             raise TypeError("injected bug")
         return real(spec, n, delta, seed)
 
-    # patched before the pool forks, so the workers inherit it
+    # patched before the run, so the pool threads call it
     monkeypatch.setattr(harness, "simulate_observations", broken)
     with pytest.raises(TypeError, match="injected bug"):
         run_iv_mc(small_cfg(replications=8, parallelism=parallelism))
-    assert multiprocessing.active_children() == []
+    assert pool_threads() == []
 
 
 def test_two_cells_per_block_design_runs():
@@ -224,12 +219,21 @@ def without_wall(summaries):
     return [{k: v for k, v in s.items() if k != "wall_time"} for s in summaries]
 
 
-def test_rate_regression_pool_matches_serial():
-    serial = run_rate_regression(rate_cfg(replications=6), RATE_NS)
-    pooled = run_rate_regression(rate_cfg(replications=6, parallelism=2), RATE_NS)
+def assert_rate_pool_matches_serial(cfg, ns):
+    serial = run_rate_regression(cfg, ns)
+    pooled = run_rate_regression(replace(cfg, parallelism=2), ns)
     assert without_wall(pooled.summaries) == without_wall(serial.summaries)
     assert (pooled.iv_rmse, pooled.spot_sup) == (serial.iv_rmse, serial.spot_sup)
     assert (pooled.iv_slope, pooled.spot_slope) == (serial.iv_slope, serial.spot_slope)
+
+
+def test_rate_regression_pool_matches_serial():
+    assert_rate_pool_matches_serial(rate_cfg(replications=6), RATE_NS)
+
+
+def test_six_n_rate_regression_pool_matches_serial():
+    # 12 layouts, more than _kernels.layout keeps: the pool threads rebuild evicted ones
+    assert_rate_pool_matches_serial(rate_cfg(replications=4), [2**k for k in range(8, 14)])
 
 
 # Frozen results of 4 replications, master seed 7: the mc-iv-clt design (a DST
@@ -252,27 +256,25 @@ def test_frozen_replication_values(design, iv_values, spot_sup_errors):
 
 
 def test_pool_tasks_name_the_replication(monkeypatch):
-    # A tracer replaces _run_replication with a local function, which cannot
-    # be pickled: a pool task must name a module function that looks it up.
+    # A tracer replaces _run_replication before a run: the pool threads must call the replacement.
     real = harness._run_replication
+    callers = set()
 
     def marked(cfg, index):
+        callers.add(threading.current_thread().name)
         return replace(real(cfg, index), spot_sup_error=-1.0)
 
-    class PicklingPool:  # sends each task through pickle, as a process pool does
-        def map(self, fn, items, chunksize):
-            return map(pickle.loads(pickle.dumps(fn)), items)
-
     monkeypatch.setattr(harness, "_run_replication", marked)
-    report = harness._iv_mc(small_cfg(replications=4, parallelism=2), PicklingPool())
+    report = run_iv_mc(small_cfg(replications=4, parallelism=2))
     assert report.spot_sup_errors == (-1.0,) * 4
+    assert callers and all(name.startswith("ThreadPoolExecutor-") for name in callers)
 
 
 def counting_pools(monkeypatch):
-    """Pools constructed and shut down through harness.ProcessPoolExecutor."""
+    """Pools constructed and shut down through harness.ThreadPoolExecutor."""
     log = {"opened": 0, "shut": 0}
 
-    class Counting(harness.ProcessPoolExecutor):
+    class Counting(harness.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             log["opened"] += 1
             super().__init__(*args, **kwargs)
@@ -281,7 +283,7 @@ def counting_pools(monkeypatch):
             log["shut"] += 1
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Counting)
     return log
 
 
@@ -295,23 +297,6 @@ def test_rate_regression_opens_one_pool(monkeypatch):
     assert log == {"opened": 2, "shut": 2}
 
 
-def test_prepare_builds_what_a_replication_reads():
-    caches = [_kernels.layout, _kernels.block_normalizers, simulate._increment_sd]
-    for cache in caches:
-        cache.cache_clear()
-    cfgs = [replace(rate_cfg(), n=n) for n in RATE_NS]
-    harness._prepare(cfgs)
-    assert _kernels.layout.cache_info().currsize == 8
-    layouts = [_kernels.layout(cfg.n, grid.K, grid.J) for cfg in cfgs
-               for grid in (resolve_design(cfg).spot_grid, resolve_design(cfg).main_grid)]
-    assert all(lay.weights is not None for lay in layouts)
-    assert any(lay.cells is not None for lay in layouts)
-    misses = [cache.cache_info().misses for cache in caches]
-    for cfg in cfgs:
-        assert not harness._run_replication(cfg, 0).failed
-    assert [cache.cache_info().misses for cache in caches] == misses
-
-
 def test_failure_mid_regression_shuts_the_pool(monkeypatch):
     real = harness.simulate_observations
 
@@ -320,43 +305,38 @@ def test_failure_mid_regression_shuts_the_pool(monkeypatch):
             raise ValueError("injected failure")
         return real(spec, n, delta, seed)
 
-    # patched before the pool forks, so the workers inherit it
+    # patched before the run, so the pool threads call it
     monkeypatch.setattr(harness, "simulate_observations", fails_at_1024)
     log = counting_pools(monkeypatch)
     with pytest.raises(TooManyFailuresError, match="injected failure"):
         run_rate_regression(small_cfg(replications=4, delta=0.5, parallelism=2), [256, 512, 1024, 2048])
     assert log == {"opened": 1, "shut": 1}
-    assert multiprocessing.active_children() == []
+    assert pool_threads() == []
 
 
-UNPICKLABLE_POOL_RUN = """
-from specvol import volmodel as vm
-from specvol.harness import ExperimentConfig, run_iv_mc
+def test_threads_racing_on_cold_caches_match_serial():
+    # more threads than cores, switching often, on empty caches: the threads
+    # build the same layouts, normalizers and increment SDs at once
+    cfg = small_cfg(replications=16)
+    serial = run_iv_mc(cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cache in (_kernels.layout, _kernels.block_normalizers, simulate._increment_sd):
+            cache.cache_clear()
+        pooled = run_iv_mc(replace(cfg, parallelism=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert (pooled.iv_values, pooled.spot_sup_errors) == (serial.iv_values, serial.spot_sup_errors)
 
-def main():
-    class Local(vm.Constant):  # a class defined in a function cannot be pickled
+
+def test_pool_runs_a_curve_class_defined_in_a_function():
+    # such a class cannot be pickled, and the pool threads need not pickle it
+    class Local(vm.Constant):
         pass
 
-    run_iv_mc(ExperimentConfig(spec=Local(1.0), n=1024, delta=0.3, replications=4,
-                               h0_rule=8.0, J_rule=16, master_seed=7, parallelism=2))
-
-main()
-"""
-
-
-def test_unpicklable_config_fails_before_the_fork():
-    # A pool whose tasks cannot be pickled hangs in its shutdown, so the run
-    # goes in a session of its own, whose process group a timeout kills with
-    # the workers it forked.
-    src = str(Path(specvol.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen([sys.executable, "-c", UNPICKLABLE_POOL_RUN], env=env, text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
-    try:
-        _, err = proc.communicate(timeout=30)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("a pooled run of an unpicklable config hung for 30 s")
-    assert proc.returncode != 0
-    assert "pickle" in err
+    cfg = small_cfg(spec=Local(1.0), replications=4)
+    serial = run_iv_mc(cfg)
+    pooled = run_iv_mc(replace(cfg, parallelism=2))
+    assert pooled.iv_values == serial.iv_values
+    assert without_wall([pooled.summary]) == without_wall([serial.summary])
