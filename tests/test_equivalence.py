@@ -8,9 +8,12 @@ from specvol import volmodel as vm
 from specvol.equivalence import (
     GaussianLaw,
     NotPositiveDefiniteError,
+    _midpoint_levels,
+    _observation_levels,
     _whiten,
     hellinger_decay,
     hellinger_exact,
+    hellinger_min_form,
     hellinger_upper_bound,
     observation_covariance,
     oscillating_gap,
@@ -238,10 +241,92 @@ def test_decay_constant_slope():
 
 
 def test_decay_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="config field spec.kind: must be 'constant' or 'sinusoid'"):
         hellinger_decay(vm.Oscillating(8), 0.1, [64, 128])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"config field n_list: must be strictly increasing, got \[128, 64\]"):
         hellinger_decay(vm.Constant(1.0), 0.1, [128, 64])
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        hellinger_decay(vm.Constant(1.0), 0.1, [1, 64])
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        hellinger_decay(vm.Constant(1.0), 0.1, [0, 64])
+
+
+SWEEP = [2**k for k in range(6, 12)]
+SINE = vm.Sinusoid(1.0, 0.5, 3, 0.7)
+
+
+def assert_matches_dense(c1, c2, p, q, delta):
+    """The O(n) pair on the levels c1, c2 against the dense pair on their laws p, q."""
+    h2, bound = hellinger_min_form(np.diff(c1, prepend=0.0), np.diff(c2, prepend=0.0), delta)
+    assert h2 == pytest.approx(hellinger_exact(p, q) ** 2, rel=1e-12, abs=0)
+    assert bound == pytest.approx(hellinger_upper_bound(p, q), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("spec", [vm.Constant(1.0), SINE], ids=["constant", "sinusoid"])
+@pytest.mark.parametrize("delta", [0.05, 0.3, 1.0])
+def test_min_form_matches_dense_on_decay_pairs(spec, delta):
+    # the Constant pair differs only in the reflected corner entry (n, n)
+    for n in SWEEP:
+        assert_matches_dense(_observation_levels(spec, n), _midpoint_levels(spec, n),
+                             observation_covariance(spec, n, delta),
+                             symmetrized_covariance(spec, n, delta), delta)
+
+
+def test_min_form_matches_dense_on_two_curves():
+    other = vm.Sinusoid(1.0, 0.2, 2, 0.3)
+    for n in SWEEP:
+        assert_matches_dense(_observation_levels(vm.Constant(1.0), n), _observation_levels(other, n),
+                             observation_covariance(vm.Constant(1.0), n, 0.3),
+                             observation_covariance(other, n, 0.3), 0.3)
+
+
+def test_decay_uses_the_min_form_of_the_coupling_pair():
+    n_list = [2, 3, 64]
+    result = hellinger_decay(SINE, 0.3, n_list)
+    for n, h2, bound in zip(n_list, result.h2_values, result.bound_values):
+        p, q = observation_covariance(SINE, n, 0.3), symmetrized_covariance(SINE, n, 0.3)
+        assert h2 == pytest.approx(hellinger_exact(p, q) ** 2, rel=1e-12, abs=0)
+        assert bound == pytest.approx(hellinger_upper_bound(p, q), rel=1e-12, abs=0)
+
+
+def test_min_form_identical_increments():
+    dc = np.diff(vm.cumulative_variance(SINE, np.arange(1, 101) / 100), prepend=0.0)
+    assert hellinger_min_form(dc, dc, 0.3) == (0.0, 0.0)
+
+
+def test_min_form_scalar_anchor():
+    # n = 1: N(0, 1 + delta^2) vs N(0, s2 + delta^2), the scalar closed forms
+    delta, s2 = 0.5, 2.0
+    v1, v2 = 1.0 + delta**2, s2 + delta**2
+    h2, bound = hellinger_min_form([1.0], [s2], delta)
+    assert h2 == pytest.approx(2 - 2 * np.sqrt(2 * np.sqrt(v1 * v2) / (v1 + v2)), rel=1e-14)
+    assert bound == pytest.approx(2 * (v2 / v1 - 1) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("dc1, dc2, delta", [
+    ([1.0, -5.0, 1.0], [1.0, 1.0, 1.0], 0.1),    # first covariance indefinite
+    ([1.0, 1.0, 1.0], [1.0, 1.0, -5.0], 0.1),    # second covariance indefinite
+    ([1.0, 0.0], [1.0, 1.0], 0.0),               # first covariance singular: a zero pivot
+], ids=["first", "second", "zero-pivot"])
+def test_min_form_non_pd_raises(dc1, dc2, delta):
+    # a LinAlgError, which the benchmark counts as a failed operation
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite: pivot") as err:
+        hellinger_min_form(dc1, dc2, delta)
+    assert err.type is NotPositiveDefiniteError
+
+
+def test_min_form_rejects_mismatched_increments():
+    with pytest.raises(ValueError, match="incompatible increments"):
+        hellinger_min_form([1.0, 1.0], [1.0], 0.1)
+    with pytest.raises(ValueError, match="incompatible increments"):
+        hellinger_min_form([], [], 0.1)
+
+
+def test_decay_reaches_2_16():
+    # a dense 2^16 pair needs 32 GiB, so this sweep also guards the O(n) path
+    result = hellinger_decay(SINE, 0.3, [2**k for k in range(6, 17)])
+    assert result.slope <= -1.7
+    assert all(b >= h > 0 for b, h in zip(result.bound_values, result.h2_values))
 
 
 def test_oscillating_gap_stabilizes():
