@@ -21,10 +21,15 @@ hellinger_decay never builds them.  Both have the form c(min(k,l)) +
 delta^2 1(k=l), and the difference map P, (Px)_k = x_k - x_{k-1}, carries such
 a matrix to the tridiagonal diag(dc) + delta^2 P P^T, with dc the increments of
 c.  Both distances are invariant under that congruence, and the two images
-differ only by diag(d), d = dc2 - dc1, so hellinger_min_form works in O(n):
-one forward LDL^T pivot pass gives H^2 from the pivots of A_t = A_0 + t
-diag(d) at t = 0, 1/2, 1, and one backward pivot pass gives the diagonal and
-the decay of A_0^{-1}, hence 2 ||E||_HS^2 = 2 sum_ij d_i d_j (A_0^{-1})_ij^2.
+differ only by diag(d), d = dc2 - dc1, so hellinger_min_form works in O(n)
+and loops in LAPACK, not in Python.  Four dpttrf calls give the only
+nonlinear recursions: the LDL^T pivots of A_t = A_0 + t diag(d) at t = 0, 1/2,
+1, and the backward pivots of A_0.  Given the pivots, the shifts of the A_t
+pivots, their second difference and the decay of A_0^{-1} obey linear
+first-order recursions, four unit lower-bidiagonal solves (dgtsv).  Their
+coefficients need the pivots only to relative accuracy and no shift is formed
+as a difference of pivots, so no term cancels.  They give H^2 and 2 ||E||_HS^2 =
+2 sum_ij d_i d_j (A_0^{-1})_ij^2.
 """
 
 from __future__ import annotations
@@ -159,23 +164,59 @@ def symmetrized_covariance(spec: VolatilitySpec, n: int, delta: float) -> Gaussi
     return _min_form_law(_midpoint_levels(spec, n), delta)
 
 
+def _pivots(lapack, diag, off, name: str) -> np.ndarray:
+    """The LDL^T pivots of the tridiagonal matrix with diagonal diag and constant
+    off-diagonal off, from one dpttrf call; NotPositiveDefiniteError naming the
+    matrix at the first pivot that is not positive."""
+    # the f2py wrapper rejects an empty off-diagonal, so n = 1 passes one unused entry
+    pivots, _, info = lapack.dpttrf(diag, np.full(max(diag.size - 1, 1), off))
+    if info == 0 and not np.all(pivots > 0.0):   # a NaN passes dpttrf's sign test
+        info = int(np.argmin(pivots > 0.0)) + 1
+    if info:
+        raise NotPositiveDefiniteError(
+            f"{name} covariance is not positive definite: pivot {info} of {diag.size} "
+            f"is {pivots[info - 1]:.3e}"
+        )
+    return pivots
+
+
+def _recursion(lapack, coef, rhs) -> np.ndarray:
+    """x with x_0 = rhs_0 and x_k = rhs_k + coef_{k-1} x_{k-1}: one dgtsv call
+    on the unit lower-bidiagonal matrix with subdiagonal -coef."""
+    sub = -coef if coef.size else np.zeros(1)
+    # a unit triangular matrix is never singular, so info is always 0
+    return lapack.dgtsv(sub, np.ones(rhs.size), np.zeros(sub.size), rhs)[3]
+
+
 def hellinger_min_form(dc1, dc2, delta: float) -> tuple:
     """(H^2, 2 ||E||_HS^2) between N(0, c1(min(k,l)) + delta^2 1(k=l)) and the
     same law with c2, from the increments dc = c(m) - c(m-1), c(0) = 0.
 
     The difference map turns the covariances into A_0 = diag(dc1) + delta^2 P P^T
     and A_1 = A_0 + diag(d), d = dc2 - dc1: diagonal a_k, off-diagonal -delta^2.
-    The pivots of A_t are p_k + s_k(t), with p the pivots of A_0 and
+    Four LAPACK dpttrf calls give the pivots p of A_0, P1 of A_1 and Ph of
+    A_{1/2} = A_0 + diag(d)/2, and the backward pivots q of A_0 (dpttrf on the
+    reversed diagonal).  Only these recursions are nonlinear.  The shifts
+    s1 = P1 - p and sh = Ph - p and the second difference u = s1 - 2 sh obey
+    linear first-order recursions whose coefficients read the pivots at k - 1,
 
-        s_k(t) = t d_k + delta^4 s_{k-1}(t) / (p_{k-1} (p_{k-1} + s_{k-1}(t))).
+        s1_k = d_k + delta^4 s1_{k-1} / (p P1)
+        sh_k = d_k / 2 + delta^4 sh_{k-1} / (p Ph)
+        u_k = delta^4 u_{k-1} / (P1 Ph) - delta^4 s1_{k-1} sh_{k-1} / (p P1 Ph),
 
-    log BC = sum_k 1/4 log(p + s(1)) + 1/4 log p - 1/2 log(p + s(1/2)) is carried
-    as 1/4 log1p((u/p - r^2) / (1 + r)^2), r = s(1/2)/p, where the second
-    difference u = s(1) - 2 s(1/2) has its own recursion, so that no term
-    cancels at first order.  The bound reads A_0^{-1} from the backward pivots
-    q: (A_0^{-1})_jj = g_j = 1/(p_j + q_j - a_j) and, for i < j,
-    (A_0^{-1})_ij^2 = g_j^2 prod_{k=i}^{j-1} delta^4/p_k^2.
+    so each is one unit lower-bidiagonal solve (dgtsv).  The coefficients need
+    the pivots only to relative accuracy, and no shift is formed as a
+    difference of pivots, so no term cancels at first order.
+
+    log BC = sum_k 1/4 log P1 + 1/4 log p - 1/2 log Ph is carried as
+    1/4 log1p((u/p - r^2) / (1 + r)^2), r = sh/p.  The bound reads A_0^{-1}
+    from the backward pivots: (A_0^{-1})_jj = g_j = 1/(p_j + q_j - a_j) and,
+    for i < j, (A_0^{-1})_ij^2 = g_j^2 prod_{k=i}^{j-1} delta^4/p_k^2, so
+    2 ||E||_HS^2 = 2 sum_j d_j (d_j g_j^2 + 2 tail_j) with the fourth solve,
+    on reversed arrays, tail_j = delta^4/p_j^2 (d_{j+1} g_{j+1}^2 + tail_{j+1}).
     """
+    from scipy.linalg import lapack
+
     dc1 = np.asarray(dc1, dtype=np.float64)
     dc2 = np.asarray(dc2, dtype=np.float64)
     if dc1.ndim != 1 or dc1.shape != dc2.shape or dc1.size < 1:
@@ -183,39 +224,25 @@ def hellinger_min_form(dc1, dc2, delta: float) -> tuple:
     n = dc1.size
     d2 = delta ** 2
     d4 = d2 * d2
-    diag = dc1 + np.where(np.arange(n) == 0, d2, 2.0 * d2)
-    a, d = diag.tolist(), (dc2 - dc1).tolist()
+    a = dc1 + np.where(np.arange(n) == 0, d2, 2.0 * d2)
+    d = dc2 - dc1
+    p = _pivots(lapack, a, -d2, "first")
+    p1 = _pivots(lapack, a + d, -d2, "second")
+    ph = _pivots(lapack, a + 0.5 * d, -d2, "average")
+    q = _pivots(lapack, a[::-1], -d2, "first")[::-1]
 
-    # forward pass: pivots p of A_0, shifts s(1), s(1/2) and u = s(1) - 2 s(1/2)
-    pivots, terms = [0.0] * n, [0.0] * n
-    for k in range(n):
-        if k == 0:
-            p, s1, sh, u = a[0], d[0], 0.5 * d[0], 0.0
-        else:
-            c = d4 / p
-            f1, fh = p + s1, p + sh
-            # one tuple assignment: the right side reads step k - 1 throughout
-            p, s1, sh, u = (a[k] - c, d[k] + c * s1 / f1, 0.5 * d[k] + c * sh / fh,
-                            c * (p * u - s1 * sh) / (f1 * fh))
-        if not (p > 0.0 and p + s1 > 0.0 and p + sh > 0.0):
-            raise NotPositiveDefiniteError(
-                f"covariance is not positive definite: pivot {k + 1} of {n} is {p:.3e} "
-                f"(first), {p + s1:.3e} (second), {p + sh:.3e} (average)"
-            )
-        r = sh / p
-        pivots[k] = p
-        terms[k] = (u / p - r * r) / ((1.0 + r) * (1.0 + r))
-    h2 = -2.0 * math.expm1(0.25 * float(np.sum(np.log1p(terms))))
+    s1 = _recursion(lapack, d4 / (p[:-1] * p1[:-1]), d)
+    sh = _recursion(lapack, d4 / (p[:-1] * ph[:-1]), 0.5 * d)
+    cross = np.concatenate(([0.0], -d4 * s1[:-1] * sh[:-1] / (p[:-1] * p1[:-1] * ph[:-1])))
+    u = _recursion(lapack, d4 / (p1[:-1] * ph[:-1]), cross)
+    r = sh / p
+    h2 = -2.0 * math.expm1(0.25 * float(np.sum(np.log1p((u / p - r * r) / ((1.0 + r) * (1.0 + r))))))
 
-    # backward pass: pivots q, g_j^2 and tail = sum_{i>j} d_i g_i^2 prod_{k=j}^{i-1} delta^4/p_k^2
-    frob = q = tail = 0.0
-    for j in range(n - 1, -1, -1):
-        q = a[j] if j == n - 1 else a[j] - d4 / q
-        g2 = 1.0 / (pivots[j] + q - a[j]) ** 2
-        frob += d[j] * (d[j] * g2 + 2.0 * tail)
-        if j > 0:
-            tail = d4 / pivots[j - 1] ** 2 * (d[j] * g2 + tail)
-    return max(h2, 0.0), 2.0 * frob
+    dg2 = d / (p + q - a) ** 2
+    c = d4 / p[:-1] ** 2
+    tail = _recursion(lapack, c[::-1], np.concatenate(([0.0], (c * dg2[1:])[::-1])))[::-1]
+    # max(0.0, -0.0) keeps its first argument, so identical laws give +0.0
+    return max(0.0, h2), 2.0 * float(np.sum(d * (dg2 + 2.0 * tail)))
 
 
 @dataclass(frozen=True)
@@ -248,8 +275,8 @@ def hellinger_decay(spec: VolatilitySpec, delta: float, n_list) -> DecayResult:
 
     Each n costs O(n) time and memory: the difference map reduces both
     covariances to tridiagonal matrices that differ by a diagonal, and
-    hellinger_min_form runs one forward pivot pass for H^2 and one backward
-    pivot pass for the bound.  No covariance matrix is built.
+    hellinger_min_form reads H^2 and the bound from their LAPACK pivots and
+    four bidiagonal solves.  No covariance matrix is built.
     """
     decay_curve(spec)
     ns = decay_sizes(n_list)

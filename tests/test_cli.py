@@ -387,6 +387,16 @@ def test_unwritable_output_exit_1(tmp_path, target):
     assert "Traceback" not in proc.stderr
 
 
+def test_package_import_loads_no_scipy():
+    # scipy, scipy.linalg's LAPACK wrappers included, loads on the first call that needs it
+    src = str(Path(specvol.__file__).parents[1])
+    code = "import sys, specvol; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_import_leaves_out_jsonschema():
     # and the scipy modules, which a command imports when it first calls into them
     src = str(Path(specvol.__file__).parents[1])

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from oracles import min_form_recursion
 from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.stats import ortho_group
@@ -289,9 +292,42 @@ def test_decay_uses_the_min_form_of_the_coupling_pair():
         assert bound == pytest.approx(hellinger_upper_bound(p, q), rel=1e-12, abs=0)
 
 
+PARITY_SIZES = [2, 3] + [2**k for k in range(6, 17)]
+
+
+def assert_matches_recursion(dc1, dc2, delta, rel):
+    h2, bound = hellinger_min_form(dc1, dc2, delta)
+    ref_h2, ref_bound = min_form_recursion(dc1, dc2, delta)
+    assert h2 == pytest.approx(ref_h2, rel=rel, abs=0)
+    assert bound == pytest.approx(ref_bound, rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("spec", [vm.Constant(1.0), SINE], ids=["constant", "sinusoid"])
+@pytest.mark.parametrize("delta", [0.05, 0.3, 1.0])
+def test_min_form_matches_recursion_on_decay_pairs(spec, delta):
+    for n in PARITY_SIZES:
+        assert_matches_recursion(np.diff(_observation_levels(spec, n), prepend=0.0),
+                                 np.diff(_midpoint_levels(spec, n), prepend=0.0), delta, 1e-12)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.3, 1.0])
+def test_min_form_matches_recursion_on_two_curves(delta):
+    other = vm.Sinusoid(1.0, 0.2, 2, 0.3)
+    for n in [1] + PARITY_SIZES:
+        # Both paths are backward stable, so they may differ by the unit roundoff times
+        # the condition number of A_0, about 4 delta^2 n here (its smallest eigenvalue
+        # is near dc1 = 1/n).  This pair comes within a factor 6 of it: 1.0e-11 at
+        # delta = 1, n = 2^16, where the bound is 5.8e-11.
+        rel = max(1e-12, 4.0 * delta**2 * n * np.finfo(float).eps)
+        assert_matches_recursion(np.diff(_observation_levels(vm.Constant(1.0), n), prepend=0.0),
+                                 np.diff(_observation_levels(other, n), prepend=0.0), delta, rel)
+
+
 def test_min_form_identical_increments():
     dc = np.diff(vm.cumulative_variance(SINE, np.arange(1, 101) / 100), prepend=0.0)
-    assert hellinger_min_form(dc, dc, 0.3) == (0.0, 0.0)
+    h2, bound = hellinger_min_form(dc, dc, 0.3)
+    assert (h2, bound) == (0.0, 0.0)
+    assert math.copysign(1.0, h2) == 1.0    # +0.0, not -2 expm1(0.0) = -0.0
 
 
 def test_min_form_scalar_anchor():
@@ -303,14 +339,15 @@ def test_min_form_scalar_anchor():
     assert bound == pytest.approx(2 * (v2 / v1 - 1) ** 2, rel=1e-14)
 
 
-@pytest.mark.parametrize("dc1, dc2, delta", [
-    ([1.0, -5.0, 1.0], [1.0, 1.0, 1.0], 0.1),    # first covariance indefinite
-    ([1.0, 1.0, 1.0], [1.0, 1.0, -5.0], 0.1),    # second covariance indefinite
-    ([1.0, 0.0], [1.0, 1.0], 0.0),               # first covariance singular: a zero pivot
-], ids=["first", "second", "zero-pivot"])
-def test_min_form_non_pd_raises(dc1, dc2, delta):
+@pytest.mark.parametrize("dc1, dc2, delta, name", [
+    ([1.0, -5.0, 1.0], [1.0, 1.0, 1.0], 0.1, "first"),     # first covariance indefinite
+    ([1.0, 1.0, 1.0], [1.0, 1.0, -5.0], 0.1, "second"),    # second covariance indefinite
+    ([1.0, 0.0], [1.0, 1.0], 0.0, "first"),                # first covariance singular: a zero pivot
+    ([1.0, np.nan], [1.0, 1.0], 0.1, "first"),             # a NaN pivot passes dpttrf's own test
+], ids=["first", "second", "zero-pivot", "nan"])
+def test_min_form_non_pd_raises(dc1, dc2, delta, name):
     # a LinAlgError, which the benchmark counts as a failed operation
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite: pivot") as err:
+    with pytest.raises(np.linalg.LinAlgError, match=f"{name} covariance is not positive definite: pivot") as err:
         hellinger_min_form(dc1, dc2, delta)
     assert err.type is NotPositiveDefiniteError
 
