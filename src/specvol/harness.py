@@ -5,14 +5,24 @@ Each replication owns an independent counter-based RNG stream keyed by
 (master_seed, replication index), so results are bit-identical for any
 worker-pool size; aggregation always walks replications in index order.
 
-With parallelism > 1 a call opens one thread pool, for every n of a rate
-regression.  The threads share the caches the layers read (the increment
-standard deviations, the transform layouts, the block normalizers), so no
-state is built ahead of a run or copied to another process.
+With parallelism > 1 a call opens one thread pool.  A rate regression hands
+every (n, index) replication to it at once, the largest n first, so the
+threads run out of work together; it then collects each n in index order and
+summarizes the n in ascending order, so the first n to exceed the failure
+budget raises, as in a serial run.  A summary's wall_time counts the seconds
+from the start of the call until its n's last result was collected: in a
+pooled regression the n overlap, and serially it is cumulative.  The threads
+share the caches the layers read (the increment standard deviations, the
+transform layouts, the block normalizers), so no state is built ahead of a
+run or copied to another process.
+
+The summary statistics are computed in numpy, so a run imports no
+scipy.stats.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from concurrent.futures import ThreadPoolExecutor
@@ -186,15 +196,39 @@ class MCReport:
     summary: dict
 
 
-def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_time) -> dict:
-    from scipy import stats  # deferred: importing it costs 0.2 s
+def _ks_normal(x: np.ndarray) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of the sample x from N(0, 1)."""
+    x = np.sort(x)
+    cdf = 0.5 * np.array([math.erfc(v) for v in (-x / math.sqrt(2.0)).tolist()])
+    m = x.size
+    return float(max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m)))
 
+
+def _shape(x: np.ndarray):
+    """Skewness m3/m2^(3/2) and excess kurtosis m4/m2^2 - 3 of the sample x.
+
+    The central moments m_k are the biased ones, as in scipy.stats.skew and
+    kurtosis by default.  Skewness needs 3 points and kurtosis 4; either is
+    nan for fewer, and both for a constant sample.
+    """
+    nan = float("nan")
+    if x.size < 3:
+        return nan, nan
+    centered = x - np.mean(x)
+    m2, m3, m4 = (float(np.mean(centered ** k)) for k in (2, 3, 4))
+    if m2 == 0.0:
+        return nan, nan
+    return m3 / m2 ** 1.5, (m4 / m2 ** 2 - 3.0 if x.size > 3 else nan)
+
+
+def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_time) -> dict:
     values = np.asarray(iv_values, dtype=np.float64)
     target_iv = volmodel.true_integrated_volatility(cfg.spec)
     target_avar = asymptotic_variance(cfg.spec, cfg.delta)
     scaled = cfg.n ** 0.25 * (values - target_iv)
     studentized = scaled / np.sqrt(target_avar)
     m = values.size
+    skewness, kurtosis = _shape(studentized)
     return {
         "replications": m,
         "failed": int(n_failed),
@@ -203,9 +237,9 @@ def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_
         "bias_scaled": float(np.mean(scaled)),
         "variance_scaled": float(np.var(scaled, ddof=1)) if m > 1 else float("nan"),
         "variance_ratio": float(np.var(scaled, ddof=1) / target_avar) if m > 1 else float("nan"),
-        "skewness": float(stats.skew(studentized)) if m > 2 else float("nan"),
-        "kurtosis": float(stats.kurtosis(studentized)) if m > 3 else float("nan"),
-        "ks_statistic": float(stats.kstest(studentized, "norm").statistic) if m > 1 else float("nan"),
+        "skewness": skewness,
+        "kurtosis": kurtosis,
+        "ks_statistic": _ks_normal(studentized) if m > 1 else float("nan"),
         "rmse_iv": float(np.sqrt(np.mean((values - target_iv) ** 2))),
         "mean_spot_sup_error": float(np.mean(spot_sup_errors)) if len(spot_sup_errors) else float("nan"),
         "wall_time": wall_time,
@@ -218,20 +252,36 @@ def run_iv_mc(cfg: ExperimentConfig) -> MCReport:
     Raises TooManyFailuresError when more than 1% of replications fail.
     """
     with _pool(cfg.parallelism) as pool:
-        return _iv_mc(cfg, pool)
+        start = time.perf_counter()
+        return _report(cfg, _launch(cfg, pool), start)
 
 
-def _iv_mc(cfg: ExperimentConfig, pool: Optional[ThreadPoolExecutor]) -> MCReport:
-    start = time.perf_counter()
-    # read when _iv_mc runs, so a wrapper of _run_replication (a tracer, a test) runs in the pool too
-    run = partial(_run_replication, cfg)
+def _launch(cfg: ExperimentConfig, pool: Optional[ThreadPoolExecutor]) -> list:
+    """Hand cfg's replications to the pool in index order.
+
+    Returns one call per index that waits for that replication's result;
+    without a pool, the call runs the replication.
+    """
+    # _run_replication is read here, so a wrapper of it (a tracer, a test) runs in the pool too
     indices = range(cfg.replications)
-    # map returns the results in index order
-    results = list(map(run, indices) if pool is None else pool.map(run, indices))
+    if pool is None:
+        return [partial(_run_replication, cfg, i) for i in indices]
+    return [pool.submit(_run_replication, cfg, i).result for i in indices]
+
+
+def _report(cfg: ExperimentConfig, pending: list, start: float) -> MCReport:
+    """Collect the launched replications in index order and summarize them.
+
+    The summary's wall_time is the seconds from `start` until the last result
+    was collected.  Raises TooManyFailuresError when more than 1% of
+    replications fail.
+    """
+    results = [wait() for wait in pending]
     failures = tuple((r.index, r.error) for r in results if r.failed)
     if len(failures) > 0.01 * cfg.replications:
         raise TooManyFailuresError(
-            f"{len(failures)} of {cfg.replications} replications failed; first: {failures[0]}"
+            f"n = {cfg.n}: {len(failures)} of {cfg.replications} replications failed; "
+            f"first: {failures[0]}"
         )
     good = [r for r in results if not r.failed]
     wall = time.perf_counter() - start
@@ -279,7 +329,10 @@ def run_rate_regression(cfg: ExperimentConfig, n_list) -> RateReport:
         raise ValueError("need at least 4 distinct n values")
     cfgs = [replace(cfg, n=n) for n in ns]
     with _pool(cfg.parallelism) as pool:
-        summaries = [_iv_mc(c, pool).summary for c in cfgs]
+        start = time.perf_counter()
+        # largest n first: its replications run longest, so the threads finish together
+        pending = {c.n: _launch(c, pool) for c in reversed(cfgs)}
+        summaries = [_report(c, pending[c.n], start).summary for c in cfgs]
     rmses = [s["rmse_iv"] for s in summaries]
     sups = [s["mean_spot_sup_error"] for s in summaries]
     ln = np.log(ns)

@@ -397,6 +397,19 @@ def test_package_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_mc_run_loads_no_scipy_stats():
+    # summarize computes its statistics in numpy; only `counterexample` imports scipy.stats
+    src = str(Path(specvol.__file__).parents[1])
+    code = ("import sys; from specvol import harness, volmodel; "
+            "harness.run_iv_mc(harness.ExperimentConfig(spec=volmodel.Constant(1.0), n=1024, delta=0.3, "
+            "replications=4, h0_rule=8.0, J_rule=16, bandwidth_rule=0.3, parallelism=2)); "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_import_leaves_out_jsonschema():
     # and the scipy modules, which a command imports when it first calls into them
     src = str(Path(specvol.__file__).parents[1])

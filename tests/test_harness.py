@@ -107,6 +107,33 @@ def test_summary_recomputable_bit_exact():
     assert recomputed == report.summary
 
 
+@pytest.mark.parametrize("m", [3, 4, 8, 200, 5000])
+def test_summary_statistics_match_scipy(m):
+    stats = pytest.importorskip("scipy.stats")
+    cfg = small_cfg()
+    values = 1.0 + 0.2 * np.random.default_rng(m).standard_normal(m)
+    summary = summarize(cfg, tuple(values), (), 0, 0.0)
+    studentized = cfg.n ** 0.25 * (values - 1.0) / np.sqrt(8 * cfg.delta)   # Constant(1)
+    expect = {
+        "skewness": stats.skew(studentized),
+        "kurtosis": stats.kurtosis(studentized) if m > 3 else np.nan,
+        "ks_statistic": stats.kstest(studentized, "norm").statistic,
+    }
+    for key, value in expect.items():
+        assert summary[key] == pytest.approx(value, rel=1e-12, abs=0, nan_ok=True), key
+
+
+@pytest.mark.parametrize("m,nan_keys", [
+    (1, {"skewness", "kurtosis", "ks_statistic"}),
+    (2, {"skewness", "kurtosis"}),
+    (3, {"kurtosis"}),
+    (4, set()),
+])
+def test_summary_statistics_nan_below_their_sample_sizes(m, nan_keys):
+    summary = summarize(small_cfg(), (0.9, 1.3, 0.8, 1.1)[:m], (), 0, 0.0)
+    assert {k for k in ("skewness", "kurtosis", "ks_statistic") if np.isnan(summary[k])} == nan_keys
+
+
 def test_replication_independence():
     report = run_iv_mc(small_cfg(replications=200, n=256, delta=0.5))
     vals = np.asarray(report.iv_values)
@@ -300,18 +327,40 @@ def test_rate_regression_opens_one_pool(monkeypatch):
 def test_failure_mid_regression_shuts_the_pool(monkeypatch):
     real = harness.simulate_observations
 
-    def fails_at_1024(spec, n, delta, seed):
-        if n == 1024:
-            raise ValueError("injected failure")
+    def fails_at_two_n(spec, n, delta, seed):
+        if n in (512, 2048):
+            raise ValueError(f"injected failure at {n}")
         return real(spec, n, delta, seed)
 
     # patched before the run, so the pool threads call it
-    monkeypatch.setattr(harness, "simulate_observations", fails_at_1024)
+    monkeypatch.setattr(harness, "simulate_observations", fails_at_two_n)
     log = counting_pools(monkeypatch)
-    with pytest.raises(TooManyFailuresError, match="injected failure"):
-        run_rate_regression(small_cfg(replications=4, delta=0.5, parallelism=2), [256, 512, 1024, 2048])
+    cfg = small_cfg(replications=4, delta=0.5)
+    messages = []
+    for parallelism in (1, 2):
+        # the smaller failing n raises, although the pool ran the larger one first
+        with pytest.raises(TooManyFailuresError, match="^n = 512: 4 of 4 .*injected failure at 512") as exc:
+            run_rate_regression(replace(cfg, parallelism=parallelism), [256, 512, 1024, 2048])
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
     assert log == {"opened": 1, "shut": 1}
     assert pool_threads() == []
+
+
+def test_pooled_regression_queues_the_largest_n_first(monkeypatch):
+    log = counting_pools(monkeypatch)
+    submitted = []
+
+    class Recording(harness.ThreadPoolExecutor):   # counts, through counting_pools
+        def submit(self, fn, cfg, index):
+            submitted.append((cfg.n, index))
+            return super().submit(fn, cfg, index)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    ns = [256, 512, 1024, 2048]
+    run_rate_regression(small_cfg(replications=3, delta=0.5, parallelism=2), ns)
+    assert submitted == [(n, i) for n in reversed(ns) for i in range(3)]
+    assert log == {"opened": 1, "shut": 1}
 
 
 def test_threads_racing_on_cold_caches_match_serial():
