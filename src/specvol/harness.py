@@ -204,7 +204,7 @@ def _ks_normal(x: np.ndarray) -> float:
     return float(max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m)))
 
 
-def _shape(x: np.ndarray):
+def _skewness_kurtosis(x: np.ndarray):
     """Skewness m3/m2^(3/2) and excess kurtosis m4/m2^2 - 3 of the sample x.
 
     The central moments m_k are the biased ones, as in scipy.stats.skew and
@@ -228,7 +228,7 @@ def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_
     scaled = cfg.n ** 0.25 * (values - target_iv)
     studentized = scaled / np.sqrt(target_avar)
     m = values.size
-    skewness, kurtosis = _shape(studentized)
+    skewness, kurtosis = _skewness_kurtosis(studentized)
     return {
         "replications": m,
         "failed": int(n_failed),

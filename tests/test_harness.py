@@ -109,7 +109,8 @@ def test_summary_recomputable_bit_exact():
 
 @pytest.mark.parametrize("m", [3, 4, 8, 200, 5000])
 def test_summary_statistics_match_scipy(m):
-    stats = pytest.importorskip("scipy.stats")
+    from scipy import stats   # the oracle; the harness no longer imports it
+
     cfg = small_cfg()
     values = 1.0 + 0.2 * np.random.default_rng(m).standard_normal(m)
     summary = summarize(cfg, tuple(values), (), 0, 0.0)
@@ -351,7 +352,7 @@ def test_pooled_regression_queues_the_largest_n_first(monkeypatch):
     log = counting_pools(monkeypatch)
     submitted = []
 
-    class Recording(harness.ThreadPoolExecutor):   # counts, through counting_pools
+    class Recording(harness.ThreadPoolExecutor):   # subclasses counting_pools' class, so it counts too
         def submit(self, fn, cfg, index):
             submitted.append((cfg.n, index))
             return super().submit(fn, cfg, index)
