@@ -40,7 +40,7 @@ it.  The evaluators:
   least _VIEW_CELLS cells run one by one on strided views ("views"); smaller
   ones are batched through one gather of the cells of every block, cmax per
   block ("batched").  A layout keeps its weights when they fit in
-  _PLAN_BYTES (8 MiB); larger weights are built a chunk at a time.
+  _PLAN_BYTES (8 MiB); larger ones are built a few whole classes at a time.
 
 The last eight layouts are kept (the main and spot grids of the four n of a
 rate regression), so the cached weights take at most 64 MiB.
@@ -69,7 +69,7 @@ _VIEW_CELLS = 4096
 # eight layouts 7.9 MB in all.
 _PLAN_BYTES = 1 << 23
 _CACHED_LAYOUTS = 8
-# Weight and window bytes built at once when the weights are not cached.
+# Weight and window bytes of the whole classes built at once when not cached.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -118,13 +118,14 @@ def coefficient_scales(n: int, K: int, J: int) -> np.ndarray:
     return n * np.sqrt(2.0 * h) * h / (np.pi ** 2 * j ** 2)
 
 
-def _weights(plan: ClassPlan, scale: np.ndarray, j0: int, j1: int, r0: int, r1: int) -> np.ndarray:
-    """(r1 - r0, cmax, j1 - j0) weights D_r[p, j] of classes r0..r1-1, frequencies j0+1..j1."""
-    u = (np.pi / plan.bw) * np.arange(j0 + 1, j1 + 1, dtype=np.float64)
+def _weights(plan: ClassPlan, scale: np.ndarray, r0: int = 0, r1: int | None = None) -> np.ndarray:
+    """(r1 - r0, cmax, J) weights D_r[p, j] of classes r0..r1-1 (all by default)
+    at the J frequencies of scale."""
+    u = (np.pi / plan.bw) * np.arange(1, scale.size + 1, dtype=np.float64)
     c = plan.edges[r0:r1, :, None] * u
     np.cos(c, out=c)                                # one cosine per edge, shared by two pieces
     D = c[:, 1:] - c[:, :-1]
-    D *= scale[j0:j1]                               # in place: the weights are the largest build
+    D *= scale                                      # in place: the weights are the largest build
     return D
 
 
@@ -136,7 +137,7 @@ class Layout:
     scale: np.ndarray                 # (J,) scale_j
     evaluator: str                    # "dst", "views" or "batched"
     weights: np.ndarray | None        # dst: (J,) row factor -scale_j sin(j*pi/(2bw));
-                                      # else (cw, cmax, J) weights, None when built per chunk
+                                      # else (cw, cmax, J) weights, None when not cached
     cells: np.ndarray | None          # batched: (g, cw, cmax) cell of piece p of block i
                                       # of class r; padding pieces read cell n, a zero
 
@@ -153,7 +154,7 @@ def layout(n: int, K: int, J: int) -> Layout:
     else:
         evaluator = "batched" if plan.g * plan.bw < _VIEW_CELLS * plan.cw else "views"
         fits = 8 * plan.cw * plan.cmax * J <= _PLAN_BYTES
-        weights = _weights(plan, scale, 0, J, 0, plan.cw) if fits else None
+        weights = _weights(plan, scale) if fits else None
         if evaluator == "batched":
             p = np.arange(plan.cmax)
             cells = plan.first[:, None] + plan.bw * np.arange(plan.g)[:, None, None] + p
@@ -164,15 +165,6 @@ def layout(n: int, K: int, J: int) -> Layout:
     return Layout(plan, scale, evaluator, weights, cells)
 
 
-def _chunks(plan: ClassPlan, J: int):
-    """(r0, r1, j0, j1) chunks of classes and frequencies whose weights and
-    windows stay within _CHUNK_BYTES."""
-    jc = min(J, max(1, _CHUNK_BYTES // (8 * plan.cmax)))
-    rc = max(1, _CHUNK_BYTES // (8 * plan.cmax * (jc + plan.g)))
-    return [(r0, min(plan.cw, r0 + rc), j0, min(J, j0 + jc))
-            for r0 in range(0, plan.cw, rc) for j0 in range(0, J, jc)]
-
-
 def _class_products(lay: Layout, dY: np.ndarray) -> np.ndarray:
     plan, J = lay.plan, lay.scale.size
     g, cw, bw = plan.g, plan.cw, plan.bw
@@ -180,24 +172,27 @@ def _class_products(lay: Layout, dY: np.ndarray) -> np.ndarray:
     out = np.empty((J, g, cw))       # out[j, i, r] is y[j, r + i*cw]
     if lay.cells is not None:
         padded = np.append(dY, 0.0)
-    for r0, r1, j0, j1 in [(0, cw, 0, J)] if lay.weights is not None else _chunks(plan, J):
-        D = lay.weights if lay.weights is not None else _weights(plan, lay.scale, j0, j1, r0, r1)
+    # uncached: rc whole classes at a time, each running the products it runs when cached
+    rc = cw if lay.weights is not None else max(1, _CHUNK_BYTES // (8 * plan.cmax * (J + g)))
+    for r0 in range(0, cw, rc):
+        r1 = min(cw, r0 + rc)
+        D = lay.weights if lay.weights is not None else _weights(plan, lay.scale, r0, r1)
         if lay.cells is not None:
             X = padded[lay.cells[:, r0:r1]]                       # (g, r1 - r0, cmax)
-            if j1 - j0 == 1:
-                out[j0, :, r0:r1] = np.einsum("kcp,cp->kc", X, D[:, :, 0])
+            if J == 1:
+                out[0, :, r0:r1] = np.einsum("kcp,cp->kc", X, D[:, :, 0])
             else:
-                out[j0:j1, :, r0:r1] = np.matmul(X.transpose(1, 0, 2), D).transpose(2, 1, 0)
+                out[:, :, r0:r1] = np.matmul(X.transpose(1, 0, 2), D).transpose(2, 1, 0)
         else:
             for r in range(r0, r1):
                 c = int(plan.count[r])
                 # block i of the class: cells first_r + i*bw .. first_r + i*bw + c - 1
                 view = as_strided(dY[plan.first[r]:], shape=(g, c), strides=(bw * step, step))
                 w = D[r - r0, :c]
-                if j1 - j0 == 1:
-                    out[j0, :, r] = np.einsum("kp,p->k", view, w[:, 0])
+                if J == 1:
+                    out[0, :, r] = np.einsum("kp,p->k", view, w[:, 0])
                 else:
-                    out[j0:j1, :, r] = (view @ w).T
+                    out[:, :, r] = (view @ w).T
     return out.reshape(J, g * cw)
 
 
@@ -226,7 +221,7 @@ def block_normalizers(n: int, K: int, delta: float, j: int = 1):
     count per block grows.
     """
     plan = class_plan(n, K)
-    w = _weights(plan, coefficient_scales(n, K, j), j - 1, j, 0, plan.cw)[:, :, 0]
+    w = _weights(plan, coefficient_scales(n, K, j))[:, :, j - 1]
     s = np.tile(np.sum(w * w, axis=1) / n, plan.g)
     # Noise weights: eps_i enters with the weight of its cell minus that of
     # the next cell, so a block's count cells give count + 1 noise weights

@@ -257,7 +257,8 @@ def _cmd_mc_iv(data, out, threads) -> int:
           acceptance=(_object({"iv_slope_range": _SLOPE_RANGE, "spot_slope_range": _SLOPE_RANGE}),
                       False))
 def _cmd_rate(data, out, threads) -> int:
-    cfg = _experiment(data["base"], "$.base", n=data["n_list"][0], parallelism=threads)
+    # checked at the smallest n, whose eps = delta / sqrt(n) the "rate" bandwidth bounds
+    cfg = _experiment(data["base"], "$.base", n=min(data["n_list"]), parallelism=threads)
     report = harness.run_rate_regression(cfg, data["n_list"])
     payload = {key: value for key, value in asdict(report).items() if key != "summaries"}
     acceptance = data.get("acceptance", {})

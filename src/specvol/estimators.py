@@ -161,7 +161,7 @@ def integrated_volatility_estimate(
     value = h * float(np.sum(per_block))
     # the spot estimates at the K block positions, one equal-width block each
     avar = asymptotic_variance(volmodel.PiecewiseConstant(tuple(spot.estimates)), delta)
-    target = volmodel.true_integrated_volatility(true_spec) if true_spec is not None else None
+    target = volmodel.integrated_power(true_spec, 2) if true_spec is not None else None
     return IVEstimate(value=value, target=target, avar_hat=avar)
 
 

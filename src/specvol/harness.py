@@ -81,6 +81,9 @@ class ExperimentConfig:
         for name, ok, want in checks:
             if not ok:
                 raise ConfigError(name, f"must be {want}, got {getattr(self, name)!r}")
+        # the spot grid's eps = delta / sqrt(n); past eps = 1, (eps log(1/eps))^{1/3} is nan
+        if self.bandwidth_rule == "rate" and not self.delta / math.sqrt(self.n) <= 1.0:
+            raise ConfigError("bandwidth_rule", 'must be a positive number when delta > sqrt(n), got "rate"')
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,7 @@ def _skewness_kurtosis(x: np.ndarray):
 
 def summarize(cfg: ExperimentConfig, iv_values, spot_sup_errors, n_failed, wall_time) -> dict:
     values = np.asarray(iv_values, dtype=np.float64)
-    target_iv = volmodel.true_integrated_volatility(cfg.spec)
+    target_iv = volmodel.integrated_power(cfg.spec, 2)
     target_avar = asymptotic_variance(cfg.spec, cfg.delta)
     scaled = cfg.n ** 0.25 * (values - target_iv)
     studentized = scaled / np.sqrt(target_avar)

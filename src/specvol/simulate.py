@@ -136,8 +136,7 @@ class SpectralCoefficients:
 @lru_cache(maxsize=8)
 def _increment_sd(spec: VolatilitySpec, n: int) -> np.ndarray:
     """Standard deviations sqrt(a(i/n) - a((i-1)/n)) of the n latent increments."""
-    ts = np.arange(n + 1) / n
-    sd = np.sqrt(np.diff(volmodel.cumulative_variance(spec, ts)))
+    sd = np.sqrt(volmodel.cell_variances(spec, n))
     sd.setflags(write=False)
     return sd
 

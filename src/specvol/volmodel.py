@@ -3,9 +3,9 @@
 Every curve exposes exact (or 1e-12 quadrature) evaluation of the power
 integrals int_0^1 sigma^p(t) dt that the estimators and the distance
 experiments consume.  The cumulative variance a(t) = int_0^t sigma^2 has a
-closed form for every variant on [0,1].  Only its antiderivative
-A(t) = int_0^t a is extended to [0,2], through the reflection a(1+s) = a(1-s)
-that the symmetrized covariance construction needs.
+closed form for every variant on [0,1].  Its antiderivative A(t) = int_0^t a
+covers the two curves of a decay sweep, Constant and Sinusoid, on [0,2],
+through the reflection a(1+s) = a(1-s) that the symmetrized covariance needs.
 """
 
 from __future__ import annotations
@@ -167,35 +167,30 @@ def cumulative_variance(spec: VolatilitySpec, t):
     return out if out.ndim else float(out)
 
 
+def cell_variances(spec: VolatilitySpec, n: int) -> np.ndarray:
+    """a(i/n) - a((i-1)/n), i = 1..n: the variances of the n latent increments."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return np.diff(cumulative_variance(spec, np.arange(n + 1) / n))
+
+
 def cumulative_variance_antiderivative(spec: VolatilitySpec, t):
     """A(t) = int_0^t a(s) ds for t in [0,2], with the reflected branch of a."""
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0) or np.any(ts > 2):
         raise DomainError(f"t must lie in [0,2], got {t}")
+    if not isinstance(spec, (Constant, Sinusoid)):
+        raise TypeError(f"A(t) covers Constant and Sinusoid curves only, got {spec!r}")
 
     def unit(x):
         if isinstance(spec, Constant):
             return spec.level * x * x / 2
-        if isinstance(spec, PiecewiseConstant):
-            vals = np.asarray(spec.values)
-            m = len(vals)
-            prefix_a = np.concatenate([[0.0], np.cumsum(vals) / m])
-            # A at block edges
-            edge_A = np.concatenate(
-                [[0.0], np.cumsum(prefix_a[:-1] / m + vals / (2 * m * m))]
-            )
-            idx = np.minimum((x * m).astype(int), m - 1)
-            r = x - idx / m
-            return edge_A[idx] + prefix_a[idx] * r + vals[idx] * r * r / 2
-        if isinstance(spec, Sinusoid):
-            w = 2 * np.pi * spec.cycles
-            return (
-                spec.base * x * x / 2
-                - spec.amplitude * (np.sin(w * x + spec.phase) - np.sin(spec.phase)) / w ** 2
-                + spec.amplitude * np.cos(spec.phase) * x / w
-            )
-        n = spec.n
-        return x * x / 2 - n ** (-0.25) * (np.cos(np.pi * n * x) - 1.0) / (np.pi * n) ** 2
+        w = 2 * np.pi * spec.cycles
+        return (
+            spec.base * x * x / 2
+            - spec.amplitude * (np.sin(w * x + spec.phase) - np.sin(spec.phase)) / w ** 2
+            + spec.amplitude * np.cos(spec.phase) * x / w
+        )
 
     A1 = unit(np.asarray(1.0))
     over = np.clip(ts - 1.0, 0.0, 1.0)
@@ -206,10 +201,6 @@ def cumulative_variance_antiderivative(spec: VolatilitySpec, t):
         2.0 * A1 - unit(1.0 - over),
     )
     return out if out.ndim else float(out)
-
-
-def true_integrated_volatility(spec: VolatilitySpec) -> float:
-    return integrated_power(spec, 2)
 
 
 def spec_to_json(spec: VolatilitySpec) -> dict:

@@ -322,13 +322,21 @@ RATE_BASE = {"schema_version": 1, "n_list": [256, 512, 1024, 2048],
     ("rate", dict(RATE_BASE, n_list=[1024, 1024, 2048, 4096]), "$.n_list"),
     ("spectral", {"schema_version": 1, "spec": CONST, "n": 1, "delta": 0.1, "seed": 1, "h0": 8.0, "J": 3},
      "$.n"),
+    # the "rate" bandwidth (eps log(1/eps))^{1/3} needs eps = delta / sqrt(n) <= 1
+    ("iv", {"schema_version": 1, "spec": CONST, "n": 4096, "delta": 1e6, "seed": 3}, "$.bandwidth_rule"),
+    ("spot", {"schema_version": 1, "spec": CONST, "n": 4096, "delta": 64.1, "seed": 3}, "$.bandwidth_rule"),
+    ("mc-iv", dict(MC_BASE, n=4096, delta=100.0, bandwidth_rule="rate"), "$.bandwidth_rule"),
+    # checked at the smallest n, 256, where eps = 17 / 16
+    ("rate", dict(RATE_BASE, n_list=[2048, 256, 512, 1024], base=dict(RATE_BASE["base"], delta=17.0)),
+     "$.base.bandwidth_rule"),
 ], ids=["rate-missing-level", "slope-range-length", "rate-small-n", "mc-iv-small-n",
         "unknown-field", "parallelism-field", "unknown-spec-field", "acceptance-type",
         "missing-field", "fractional-cycles", "float-cycles", "fractional-oscillating-n",
         "bool-level", "string-level", "null-phase", "bool-amplitude", "string-block-value",
         "values-not-list", "unknown-kind", "decay-decreasing-n", "decay-small-n",
         "decay-piecewise", "nan-phase", "infinite-bandwidth", "ks-too-few-replications",
-        "no-spot-points", "rate-repeated-n", "spectral-one-observation"])
+        "no-spot-points", "rate-repeated-n", "spectral-one-observation", "iv-rate-bandwidth-nan",
+        "spot-rate-bandwidth-nan", "mc-iv-rate-bandwidth-nan", "rate-rate-bandwidth-nan"])
 def test_bad_config_names_path(tmp_path, command, payload, field):
     cfg = write_cfg(tmp_path, "bad.json", payload)
     proc = run_cli([command, "--config", cfg, "--out", tmp_path / "out.json"])

@@ -55,10 +55,13 @@ def test_master_seed_range():
     ("bandwidth_rule", "wide"), ("bandwidth_rule", 0.0),
     ("n", 16.0), ("replications", True), ("clip_floor", 0.0), ("noise_convention", "eps"),
     ("spot_eval_points", 0),
+    ("bandwidth_rule", "rate"),    # at delta > sqrt(n) below
 ])
 def test_config_checks_name_field(field, value):
+    # "rate" takes (eps log(1/eps))^{1/3}, nan past eps = delta / sqrt(n) = 1
+    past_eps_1 = {"delta": 32.5} if value == "rate" else {}
     with pytest.raises(harness.ConfigError, match=f"config field {field}: must be"):
-        small_cfg(**{field: value})
+        small_cfg(**past_eps_1, **{field: value})
 
 
 def test_resolve_design_rules():
@@ -86,6 +89,9 @@ def test_rate_bandwidth_rule():
     eps = cfg.delta / np.sqrt(cfg.n)
     expect = 2.0 * (eps * np.log(1 / eps)) ** (1 / 3)
     assert resolve_design(cfg).bandwidth == pytest.approx(expect, rel=1e-12)
+    # delta = sqrt(n): eps = 1, so (eps log(1/eps))^{1/3} = 0 and b is the spot block width
+    design = resolve_design(small_cfg(n=4096, delta=64.0, bandwidth_rule="rate"))
+    assert design.bandwidth == design.spot_grid.h
 
 
 def test_determinism_across_parallelism():

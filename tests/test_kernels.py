@@ -43,8 +43,8 @@ def run_evaluators(dY, K, J):
 
     The class products run one class at a time on strided views ("views") and
     batched over gathered windows ("batched"), each with the layout's weights
-    in one piece and built a few classes and frequencies at a time
-    ("-chunked"); the sine transform runs on aligned layouts with J <= bw.
+    in one piece and built a few whole classes at a time ("-chunked"); the
+    sine transform runs on aligned layouts with J <= bw.
     """
     n = dY.size
     plan = kk.class_plan(n, K)
@@ -64,8 +64,8 @@ def run_evaluators(dY, K, J):
     out = {}
     for name, view_cells in (("views", 0), ("batched", n + 1)):
         out[name] = products(name, _VIEW_CELLS=view_cells)
-        # two weight rows per chunk: several class and frequency chunks
-        with patched(_CHUNK_BYTES=2 * 8 * plan.cmax):
+        # two classes per chunk
+        with patched(_CHUNK_BYTES=2 * 8 * plan.cmax * (Jp + plan.g)):
             out[name + "-chunked"] = products(name + "-chunked", _VIEW_CELLS=view_cells, _PLAN_BYTES=0)
     if dst:
         out["dst"] = kk._dst_sums(kk.layout(n, K, max(J, 2)), dY)[:J]
@@ -126,16 +126,23 @@ def test_strategies_agree_with_cell_oracle(layout, seed):
 
 @pytest.mark.parametrize("n,K,J", [(4096, 40, 16), (1000, 7, 13), (250, 40, 3)])
 def test_dense_chunks_match_one_chunk(rng, n, K, J):
-    """Weights built a chunk at a time give the products of the cached weights."""
+    """Weights built one whole class at a time give the products of the cached
+    weights bit for bit."""
     dY = rng.standard_normal(n)
     whole = kk.block_sums(dY, K, J)
     assert kk.layout(n, K, J).evaluator != "dst" and kk.layout(n, K, J).weights is not None
     with patched(_PLAN_BYTES=0):
         lay = kk.layout.__wrapped__(n, K, J)
-    with patched(_CHUNK_BYTES=1):  # one class and one frequency per chunk
-        assert len(kk._chunks(lay.plan, J)) == lay.plan.cw * J
+    calls, weights = [], kk._weights
+
+    def counted(plan, scale, r0=0, r1=None):
+        calls.append((r0, r1))
+        return weights(plan, scale, r0, r1)
+
+    with patched(_CHUNK_BYTES=1, _weights=counted):  # one class per chunk
         chunked = kk._class_products(lay, dY)
-    assert np.allclose(chunked, whole, rtol=1e-12, atol=1e-14 * np.max(np.abs(whole)))
+    assert calls == [(r, r + 1) for r in range(lay.plan.cw)]
+    assert np.array_equal(chunked, whole)
 
 
 def test_weights_above_bound_are_not_cached(rng):

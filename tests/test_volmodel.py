@@ -110,12 +110,32 @@ def test_oscillating_cell_integrals_exact(n):
 
 
 def test_cumvar_antiderivative_vs_quadrature():
-    for spec in [Constant(1.7), PiecewiseConstant((0.5, 2.0, 1.0)), Sinusoid(1, 0.4, 2, 0.7), Oscillating(8)]:
+    for spec in [Constant(1.7), Sinusoid(1, 0.4, 2, 0.7)]:
         # the reflection a(1+s) = a(1-s) that A(t) assumes past t = 1
         a_fn = lambda t: vm.cumulative_variance(spec, min(t, 2.0 - t))
         for t in [0.3, 0.9, 1.0, 1.4, 2.0]:
             oracle, _ = quad(a_fn, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=800)
             assert vm.cumulative_variance_antiderivative(spec, t) == pytest.approx(oracle, abs=1e-9)
+
+
+def test_cumvar_antiderivative_covers_the_decay_curves_only():
+    for spec in [PiecewiseConstant((0.5, 2.0, 1.0)), Oscillating(8)]:
+        with pytest.raises(TypeError, match=type(spec).__name__):
+            vm.cumulative_variance_antiderivative(spec, 0.5)
+
+
+CELL_SPECS = [Constant(1.7), PiecewiseConstant((0.5, 2.0, 1.0)), Sinusoid(1, 0.4, 2, 0.0),
+              Sinusoid(1, 0.4, 2, 0.7), Sinusoid(1, -0.3, 5, 2.9), Oscillating(64)]
+
+
+@pytest.mark.parametrize("n", [64, 4097, 2**16])
+def test_cell_variances_match_the_formulas_they_replace(n):
+    for spec in CELL_SPECS:
+        got = vm.cell_variances(spec, n)
+        # the increment variances of simulate and the raw increments of the decay sweep
+        assert np.array_equal(got, np.diff(vm.cumulative_variance(spec, np.arange(n + 1) / n)))
+        levels = vm.cumulative_variance(spec, np.arange(1, n + 1) / n)
+        assert np.array_equal(got, np.diff(levels, prepend=0.0))
 
 
 @settings(max_examples=60, deadline=None)
